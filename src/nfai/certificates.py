@@ -6,12 +6,16 @@ than n^k.  Emptiness is certified by a *staggered cut*: per (component,
 letter) subsets of the state-tuple space that contain the initial tuple,
 avoid all final tuples, and are closed under single-component moves.
 
-The cut verifier never walks the product's transition relation.  It reshapes
-each subset into In/Out bit matrices exposing one tuple component and checks
-the closure condition as a boolean matrix-product inequality against the
-component adjacency matrices, which is what makes verification cheaper than
-re-deciding the instance.  A naive verifier that does scan product
-transitions is kept as a test oracle.
+The cut verifier never walks the product's transition relation.  Closure is
+the boolean matrix-product inequality ``Out . Δ <= In``, where Out and In
+expose one tuple component of a subset as columns and Δ is that component's
+adjacency matrix.  The verifier computes the product column by column on the
+packed subset itself: one column is one masked shift of the bitmask, so a
+check costs O(k.l.(n+m)) big-int operations, not one Python step per member,
+which is what makes verification cheaper than re-deciding the instance.
+``build_in_out`` still materializes the matrices for tests and inspection.
+A naive verifier that does scan product transitions is kept as a test
+oracle.
 
 Verdicts are structured (condition id plus coordinates), never bare
 booleans, so tests can assert exactly which condition a mutation violates.
@@ -19,7 +23,6 @@ booleans, so tests can assert exactly which condition a mutation violates.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Union
@@ -27,7 +30,7 @@ from typing import List, Optional, Union
 from .automata import EPSILON, InstanceBundle, adjacency_matrix
 from .boolmatrix import BoolMatrix
 from .decision import Decision
-from .products import ProductSpace, builder_for
+from .products import BudgetExceeded, ProductSpace, builder_for, state_budget
 
 CERT_MAGIC = "nfa-cert v1"
 
@@ -189,6 +192,7 @@ def extract_staggered_cut(bundle: InstanceBundle) -> StaggeredCut:
     space = builder.space
     base_size = space.base_size
     k, l = bundle.k, bundle.n_letters
+    limit = state_budget()
     masks = [0] * space.n_tags
     seen = {builder.initial}
     queue = deque([builder.initial])
@@ -200,6 +204,8 @@ def extract_staggered_cut(bundle: InstanceBundle) -> StaggeredCut:
         masks[tag] |= 1 << rest
         for (_, dst) in builder.successors(sid):
             if dst not in seen:
+                if len(seen) >= limit:
+                    raise BudgetExceeded.exploring(builder.construction, limit)
                 seen.add(dst)
                 queue.append(dst)
     sets = [masks[0]] * l
@@ -209,40 +215,37 @@ def extract_staggered_cut(bundle: InstanceBundle) -> StaggeredCut:
     return StaggeredCut(l, tuple(a.n_states for a in bundle.automata), tuple(sets))
 
 
-def _cut_shape_ok(bundle: InstanceBundle, cut: StaggeredCut) -> bool:
-    if cut.sizes != tuple(a.n_states for a in bundle.automata):
+def _cut_shape_ok(bundle: InstanceBundle, cut: StaggeredCut, space: ProductSpace) -> bool:
+    if cut.sizes != space.sizes:
         return False
     if cut.n_letters != bundle.n_letters:
         return False
     if len(cut.sets) != cut.k * cut.n_letters:
         return False
-    space = _tuple_space(bundle)
-    top = 1 << space.base_size
-    return all(0 <= mask < top for mask in cut.sets)
+    return all(mask >= 0 and mask.bit_length() <= space.base_size for mask in cut.sets)
 
 
-def _final_tuples(bundle: InstanceBundle, space: ProductSpace) -> int:
-    mask = 0
-    for combo in itertools.product(*[sorted(a.finals) for a in bundle.automata]):
-        mask |= 1 << space.encode(combo)
-    return mask
-
-
-def _check_cut_basics(bundle: InstanceBundle, cut: StaggeredCut) -> Optional[Verdict]:
+def _check_cut_basics(bundle: InstanceBundle, cut: StaggeredCut, space: ProductSpace) -> Optional[Verdict]:
     """Conditions shared by both verifiers: shape, base-copy agreement,
-    initial membership, final exclusion.  None means all hold."""
-    if not _cut_shape_ok(bundle, cut):
+    initial membership, final exclusion.  None means all hold.
+
+    Raises BudgetExceeded before allocating any mask over a tuple space
+    larger than the state budget."""
+    if not _cut_shape_ok(bundle, cut, space):
         return _reject("shape")
+    limit = state_budget()
+    if space.base_size > limit:
+        raise BudgetExceeded(
+            f"cut tuple space has {space.base_size} tuples, over the state budget of {limit}"
+        )
     base = cut.set_for(0, 0)
     for letter in range(1, cut.n_letters):
         if cut.set_for(0, letter) != base:
             return _reject("base-copy-mismatch", letter)
-    space = _tuple_space(bundle)
     initial = space.encode([a.initial for a in bundle.automata])
     if not (base >> initial) & 1:
         return _reject("initial-missing", initial)
-    finals = _final_tuples(bundle, space)
-    offending = base & finals
+    offending = base & space.product_mask([a.finals for a in bundle.automata])
     if offending:
         return _reject("final-present", (offending & -offending).bit_length() - 1)
     return None
@@ -255,11 +258,11 @@ def build_in_out(bundle: InstanceBundle, cut: StaggeredCut) -> InOutMatrices:
     order, lowest index least significant); columns enumerate the exposed
     component.  Each set bit of the cut is touched twice.
     """
-    if not _cut_shape_ok(bundle, cut):
+    space = _tuple_space(bundle)
+    if not _cut_shape_ok(bundle, cut, space):
         raise ValueError("cut shape does not match the bundle")
     k, l = cut.k, cut.n_letters
     sizes = cut.sizes
-    space = _tuple_space(bundle)
 
     reduced_strides = []
     for exposed in range(k):
@@ -295,39 +298,43 @@ def build_in_out(bundle: InstanceBundle, cut: StaggeredCut) -> InOutMatrices:
 
 
 def verify_staggered_cut(bundle: InstanceBundle, cut: StaggeredCut) -> Verdict:
-    """Verify a cut using boolean matrix products.
+    """Verify a cut using boolean matrix products on the packed subsets.
 
     Closure is checked per (component p, letter) as
     ``Out[p, letter] . adjacency_p(letter) <= In[p+1 mod k, letter]``: moving
     the exposed component of every cut tuple through the component automaton
-    must stay inside the next subset.
+    must stay inside the next subset.  The product is computed column by
+    column on the subset's bitmask (``ProductSpace.move``), every row of Out
+    held at once in one int, so no matrix is materialized.  A violation is
+    reported as ``(p, letter, row, col)``, the first violating entry of
+    ``In[p+1 mod k, letter]`` in row-major order: col is component p, row
+    the other components in mixed radix.
     """
-    basic = _check_cut_basics(bundle, cut)
+    space = _tuple_space(bundle)
+    basic = _check_cut_basics(bundle, cut, space)
     if basic is not None:
         return basic
-    k, l = cut.k, cut.n_letters
-    mats = build_in_out(bundle, cut)
-    for p in range(k):
-        automaton = bundle.automata[p]
-        for letter in range(l):
-            moved = mats.out_mat(p, letter).mul(adjacency_matrix(automaton, letter))
-            target = mats.in_mat((p + 1) % k, letter)
-            violation = moved.violating_entry(target)
-            if violation is not None:
-                return _reject("closure", p, letter, violation[0], violation[1])
+    k = cut.k
+    for p, automaton in enumerate(bundle.automata):
+        for letter in range(cut.n_letters):
+            targets = [automaton.successors(q, letter) for q in range(automaton.n_states)]
+            moved = space.move(cut.set_for(p, letter), p, targets)
+            violation = moved & ~cut.set_for((p + 1) % k, letter)
+            if violation:
+                return _reject("closure", p, letter, *space.first_entry(violation, p))
     return ACCEPT
 
 
 def verify_staggered_cut_naive(bundle: InstanceBundle, cut: StaggeredCut) -> Verdict:
     """Reference verifier: checks closure by enumerating, for every cut
     tuple, every move of the active component.  Slow but independent of the
-    matrix reshaping; kept as the oracle the fast verifier is tested against.
+    packed product; kept as the oracle the fast verifier is tested against.
     """
-    basic = _check_cut_basics(bundle, cut)
+    space = _tuple_space(bundle)
+    basic = _check_cut_basics(bundle, cut, space)
     if basic is not None:
         return basic
     k, l = cut.k, cut.n_letters
-    space = _tuple_space(bundle)
     for p in range(k):
         automaton = bundle.automata[p]
         stride = space.strides[p]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .automata import EPSILON, InstanceBundle, Word
-from .products import ProductBuilder, builder_for
+from .products import BudgetExceeded, ProductBuilder, builder_for, state_budget
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,11 @@ def _search(builder: ProductBuilder) -> Decision:
     bucket keeps the next layer word-sorted, so the first final state found
     is reached by the lexicographically least among the shortest witnesses,
     matching the brute-force oracle's tie-break exactly.
+
+    Raises BudgetExceeded when more states than ``state_budget()`` would
+    be discovered.
     """
+    limit = state_budget()
     initial = builder.initial
     if builder.is_final(initial):
         return Decision(False, (), 1, 0)
@@ -81,6 +85,8 @@ def _search(builder: ProductBuilder) -> Decision:
             for (src, label, dst) in buckets[key]:
                 if dst in parents:
                     continue
+                if len(parents) >= limit:
+                    raise BudgetExceeded.exploring(builder.construction, limit)
                 parents[dst] = (src, label)
                 if builder.is_final(dst):
                     return Decision(

@@ -25,7 +25,8 @@ import itertools
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .automata import EPSILON, EpsilonNfa, InstanceBundle, Nfa, adjacency_matrix
 from .boolmatrix import BoolMatrix
@@ -38,6 +39,10 @@ STATE_BUDGET_ENV = "NFAI_STATE_BUDGET"
 
 class BudgetExceeded(RuntimeError):
     """Raised when a construction would materialize more states than allowed."""
+
+    @classmethod
+    def exploring(cls, construction: str, limit: int) -> "BudgetExceeded":
+        return cls(f"accessible part of {construction} exceeds the state budget of {limit}")
 
 
 def state_budget(explicit: Optional[int] = None) -> int:
@@ -91,6 +96,82 @@ class ProductSpace:
 
     def component(self, sid: int, i: int) -> int:
         return (sid // self.strides[i]) % self.sizes[i]
+
+    # --- tuple sets as bitmasks ------------------------------------------------
+    # A set of tuples of one copy is a Python int whose bit ``encode(t)`` is
+    # set for each member t.  Component i's value q selects the bits at
+    # ``q * strides[i]`` within each period of ``strides[i] * sizes[i]`` bits.
+
+    @cached_property
+    def zero_masks(self) -> tuple:
+        """Per component i, the mask of the tuples whose component i is 0: a
+        run of ``strides[i]`` ones repeated every ``strides[i] * sizes[i]``
+        bits.  Shifted left by ``q * strides[i]`` it selects component i = q."""
+        return tuple(
+            _repeat((1 << stride) - 1, stride * n, self.base_size // (stride * n))
+            for stride, n in zip(self.strides, self.sizes)
+        )
+
+    def product_mask(self, choices: Sequence[Iterable[int]]) -> int:
+        """Mask of the tuples whose component i lies in ``choices[i]`` for
+        every i."""
+        mask = (1 << self.base_size) - 1
+        for zero, stride, allowed in zip(self.zero_masks, self.strides, choices):
+            column = 0
+            for q in allowed:
+                column |= zero << (q * stride)
+            mask &= column
+        return mask
+
+    def move(self, mask: int, i: int, targets: Sequence[Sequence[int]]) -> int:
+        """Tuples reached from the set ``mask`` by moving component i from
+        each state q to every state of ``targets[q]``, the other components
+        fixed.
+
+        This is the boolean product Out . Δ of the matrix exposing component
+        i with the move relation Δ, computed one column at a time: column q
+        (the members with component i = q, shifted down to q = 0) is a single
+        masked shift, and each move q -> d shifts it back up to d.
+        """
+        stride = self.strides[i]
+        zero = self.zero_masks[i]
+        moved = 0
+        for q, dsts in enumerate(targets):
+            if dsts:
+                column = (mask >> (q * stride)) & zero
+                if column:
+                    for d in dsts:
+                        moved |= column << (d * stride)
+        return moved
+
+    def first_entry(self, mask: int, i: int) -> Tuple[int, int]:
+        """The first member of the non-empty set ``mask`` in row-major order
+        of the matrix exposing component i, as ``(row, col)``: the column is
+        component i, the row the other components in mixed radix, lowest
+        component least significant."""
+        stride, n = self.strides[i], self.sizes[i]
+        zero = self.zero_masks[i]
+        rows = 0
+        for q in range(n):
+            rows |= (mask >> (q * stride)) & zero
+        tid = (rows & -rows).bit_length() - 1
+        high, low = divmod(tid, stride * n)
+        col = next(q for q in range(n) if (mask >> (tid + q * stride)) & 1)
+        return high * stride + low, col
+
+
+def _repeat(block: int, period: int, count: int) -> int:
+    """``count`` copies of ``block`` at ``period``-bit intervals, built by
+    doubling: O(log count) big-int operations."""
+    out = 0
+    while True:
+        if count & 1:
+            out = (out << period) | block
+        count >>= 1
+        if not count:
+            return out
+        block |= block << period
+        period *= 2
 
 
 @dataclass(frozen=True)
@@ -629,9 +710,7 @@ def _explore(builder: ProductBuilder, budget: Optional[int], collect: bool):
             target = index.get(dst)
             if target is None:
                 if len(index) >= limit:
-                    raise BudgetExceeded(
-                        f"accessible part of {builder.construction} exceeds the state budget of {limit}"
-                    )
+                    raise BudgetExceeded.exploring(builder.construction, limit)
                 target = len(index)
                 index[dst] = target
                 order.append(dst)

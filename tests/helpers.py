@@ -39,6 +39,14 @@ def example_clique_graph() -> UndirectedGraph:
     )
 
 
+def complete_empty_bundle() -> InstanceBundle:
+    """Two complete 3-state NFA over two letters, the first with no final
+    state: empty, yet the nodding search explores every tuple of each copy."""
+    n, l = 3, 2
+    complete = tuple((p, s, q) for p in range(n) for s in range(l) for q in range(n))
+    return InstanceBundle((Nfa(n, l, complete, 0, frozenset()), Nfa(n, l, complete, 0, frozenset({0}))))
+
+
 #: Word encoding the unique 4-clique of :func:`example_clique_graph`,
 #: lexicographically least among its encodings.
 EXAMPLE_CLIQUE_WORD = (0, 1, 3, 4)

@@ -3,10 +3,12 @@ import random
 
 import pytest
 
-from nfai.automata import InstanceBundle, Nfa, validate_run
+from nfai.automata import InstanceBundle, Nfa, adjacency_matrix, validate_run
 from nfai.certificates import (
+    ACCEPT,
     ShortPathset,
     StaggeredCut,
+    Verdict,
     build_in_out,
     extract_short_pathset,
     extract_staggered_cut,
@@ -17,10 +19,11 @@ from nfai.certificates import (
     verify_staggered_cut_naive,
 )
 from nfai.decision import decide_empty
+from nfai.fileformat import serialize_bundle
 from nfai.hardness import clique_bundle, random_bundle
-from nfai.products import ProductSpace
+from nfai.products import BudgetExceeded, ProductSpace
 
-from helpers import EXAMPLE_CLIQUE_WORD, example_clique_graph
+from helpers import EXAMPLE_CLIQUE_WORD, acceptance_corpus, complete_empty_bundle, example_clique_graph
 
 
 def _self_loop_bundle():
@@ -270,6 +273,156 @@ def test_verifiers_agree_on_random_cuts(seed):
     slow = verify_staggered_cut_naive(bundle, cut)
     assert fast.ok == slow.ok
     assert fast.condition == slow.condition
+
+
+# --- packed closure check against the In/Out matrix route ------------------------
+
+def _in_out_route(bundle, cut):
+    """Reference closure check: reshape every subset into In/Out matrices,
+    multiply Out by the adjacency matrix and report the first violating
+    entry of In, row-major.  Conditions other than closure are shared with
+    the naive verifier."""
+    shared = verify_staggered_cut_naive(bundle, cut)
+    if shared.condition not in (None, "closure"):
+        return shared
+    mats = build_in_out(bundle, cut)
+    k = cut.k
+    for p, automaton in enumerate(bundle.automata):
+        for letter in range(cut.n_letters):
+            moved = mats.out_mat(p, letter).mul(adjacency_matrix(automaton, letter))
+            entry = moved.violating_entry(mats.in_mat((p + 1) % k, letter))
+            if entry is not None:
+                return Verdict(False, "closure", (p, letter) + entry)
+    return ACCEPT
+
+
+def _final_tuples_by_enumeration(bundle, space):
+    mask = 0
+    for combo in itertools.product(*[sorted(a.finals) for a in bundle.automata]):
+        mask |= 1 << space.encode(combo)
+    return mask
+
+
+def _random_unequal_bundle(rng, k, n_letters):
+    automata = []
+    for i in range(k):
+        n = 2 + (i + rng.randrange(3)) % 4
+        transitions = [
+            (q, s, d) for q in range(n) for s in range(n_letters) for d in range(n) if rng.random() < 0.35
+        ]
+        finals = frozenset(q for q in range(n) if rng.random() < 0.3)
+        automata.append(Nfa(n, n_letters, tuple(transitions), rng.randrange(n), finals))
+    return InstanceBundle(tuple(automata))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(8))
+def test_packed_closure_matches_in_out_route_on_random_cuts(k, seed):
+    rng = random.Random(f"packed-{k}-{seed}")
+    bundle = _random_unequal_bundle(rng, k, 2 + seed % 2)
+    sizes = tuple(a.n_states for a in bundle.automata)
+    space = ProductSpace(sizes, 1)
+    n_bits = space.base_size
+    initial = space.encode([a.initial for a in bundle.automata])
+    base = (rng.getrandbits(n_bits) | 1 << initial) & ~_final_tuples_by_enumeration(bundle, space)
+    l = bundle.n_letters
+    # Subsets 1..depth are full, so the closure checks before ``depth`` hold
+    # and check ``depth`` (exposing component ``depth``) meets a random target.
+    for depth in range(k):
+        sets = [base] * l
+        for p in range(1, k):
+            sets += [(1 << n_bits) - 1 if p <= depth else rng.getrandbits(n_bits) for _ in range(l)]
+        cut = StaggeredCut(l, sizes, tuple(sets))
+        assert verify_staggered_cut(bundle, cut) == _in_out_route(bundle, cut)
+
+
+def test_packed_closure_matches_in_out_route_on_corpus_cuts():
+    rng = random.Random("packed-corpus")
+    cuts = 0
+    exposed = set()
+    for name, bundle in acceptance_corpus():
+        if not decide_empty(bundle).empty:
+            continue
+        cut = extract_staggered_cut(bundle)
+        assert verify_staggered_cut(bundle, cut) == _in_out_route(bundle, cut) == ACCEPT, name
+        cuts += 1
+        volley_bits = [
+            (idx, bit)
+            for idx in range(cut.n_letters, len(cut.sets))
+            for bit in range(cut.sets[idx].bit_length())
+            if (cut.sets[idx] >> bit) & 1
+        ]
+        for idx, bit in rng.sample(volley_bits, min(3, len(volley_bits))):
+            sets = list(cut.sets)
+            sets[idx] &= ~(1 << bit)
+            mutated = StaggeredCut(cut.n_letters, cut.sizes, tuple(sets))
+            verdict = verify_staggered_cut(bundle, mutated)
+            assert verdict == _in_out_route(bundle, mutated), (name, idx, bit)
+            if verdict.condition == "closure":
+                exposed.add(verdict.where[0])
+    assert cuts >= 50
+    assert exposed >= {0, 1}  # component 1 exposed: rows are not lowest-bit order
+
+
+def test_final_mask_matches_enumeration():
+    bundles = [bundle for _, bundle in acceptance_corpus()[::10]]
+    rng = random.Random("finals")
+    bundles += [_random_unequal_bundle(rng, k, 2) for k in (2, 3, 4) for _ in range(5)]
+    for bundle in bundles:
+        space = ProductSpace(tuple(a.n_states for a in bundle.automata), 1)
+        finals = space.product_mask([a.finals for a in bundle.automata])
+        assert finals == _final_tuples_by_enumeration(bundle, space)
+
+
+# --- hostile sizes and the state budget ---------------------------------------------
+
+def _huge_bundle():
+    a = Nfa(3_000_000_000, 1, ((0, 0, 1),), 0, frozenset({1}))
+    return InstanceBundle((a, a))
+
+
+def test_huge_declared_cut_raises_budget_not_memory_error():
+    bundle = _huge_bundle()
+    cut = StaggeredCut(1, (3_000_000_000, 3_000_000_000), (1, 1))
+    for verifier in (verify_staggered_cut, verify_staggered_cut_naive):
+        with pytest.raises(BudgetExceeded):
+            verifier(bundle, cut)
+
+
+def test_huge_declared_cut_exits_2_from_cli(tmp_path, capsys):
+    from nfai.cli import main
+
+    bundle_file = tmp_path / "huge.nfa"
+    bundle_file.write_text(serialize_bundle(_huge_bundle()))
+    cert_file = tmp_path / "huge.cert"
+    cert_file.write_text(
+        "nfa-cert v1\ncut\nk 2\nalphabet 1\nstates 3000000000 3000000000\n"
+        "set 0 0 01\nset 1 0 01\n"
+    )
+    assert main(["verify", str(bundle_file), str(cert_file)]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
+def test_cut_budget_boundary_and_mask_width(monkeypatch):
+    bundle = _disjoint_singletons()
+    cut = extract_staggered_cut(bundle)
+    monkeypatch.setenv("NFAI_STATE_BUDGET", "4")  # exactly the 2x2 tuple space
+    assert verify_staggered_cut(bundle, cut).ok
+    wide = StaggeredCut(cut.n_letters, cut.sizes, cut.sets[:-1] + (cut.sets[-1] | 1 << 4,))
+    assert verify_staggered_cut(bundle, wide).condition == "shape"
+    monkeypatch.setenv("NFAI_STATE_BUDGET", "3")
+    with pytest.raises(BudgetExceeded):
+        verify_staggered_cut(bundle, cut)
+
+
+def test_cut_extraction_honours_state_budget(monkeypatch):
+    bundle = complete_empty_bundle()
+    explored = decide_empty(bundle).explored_states
+    monkeypatch.setenv("NFAI_STATE_BUDGET", str(explored))
+    assert verify_staggered_cut(bundle, extract_staggered_cut(bundle)).ok
+    monkeypatch.setenv("NFAI_STATE_BUDGET", str(explored - 1))
+    with pytest.raises(BudgetExceeded):
+        extract_staggered_cut(bundle)
 
 
 # --- In/Out matrices ------------------------------------------------------------

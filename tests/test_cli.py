@@ -238,6 +238,14 @@ def test_state_budget_env_override(empty_file, monkeypatch, capsys):
     assert main(["product", "--construction", "direct", "--full", str(empty_file)]) == 0
 
 
+def test_decide_and_certify_honour_state_budget(clique_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NFAI_STATE_BUDGET", "10")
+    assert main(["decide", str(clique_file)]) == 2
+    assert main(["certify", str(clique_file), "-o", str(tmp_path / "c.cert")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2 and "budget" in err
+
+
 def test_product_golden_output(tmp_path, capsys):
     bundle_text = (
         "nfa\nstates 2\nalphabet 1\ninitial 0\nfinal 1\ntrans 0 0 1\n"

@@ -4,9 +4,9 @@ from nfai.automata import InstanceBundle, Nfa, accepts, run_is_accepting, valida
 from nfai.decision import decide_direct_baseline, decide_empty, witness_word
 from nfai.hardness import clique_bundle, random_bundle
 from nfai.oracle import bounded_intersection_witness
-from nfai.products import nodding_product
+from nfai.products import BudgetExceeded, nodding_product
 
-from helpers import EXAMPLE_CLIQUE_WORD, example_clique_graph
+from helpers import EXAMPLE_CLIQUE_WORD, complete_empty_bundle, example_clique_graph
 
 
 def test_empty_when_some_finals_missing():
@@ -91,3 +91,18 @@ def test_baseline_empty_when_finals_missing():
     a = Nfa(2, 1, ((0, 0, 1),), 0, frozenset())
     b = Nfa(2, 1, ((0, 0, 1),), 0, frozenset({1}))
     assert decide_direct_baseline(InstanceBundle((a, b))).empty
+
+
+def test_decision_honours_state_budget(monkeypatch):
+    bundle = complete_empty_bundle()
+    explored = decide_empty(bundle).explored_states
+    assert explored > 10
+    monkeypatch.setenv("NFAI_STATE_BUDGET", str(explored))
+    assert decide_empty(bundle).empty
+    monkeypatch.setenv("NFAI_STATE_BUDGET", str(explored - 1))
+    with pytest.raises(BudgetExceeded):
+        decide_empty(bundle)
+    baseline = decide_direct_baseline(bundle).explored_states
+    monkeypatch.setenv("NFAI_STATE_BUDGET", str(baseline - 1))
+    with pytest.raises(BudgetExceeded):
+        decide_direct_baseline(bundle)

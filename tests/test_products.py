@@ -55,6 +55,41 @@ def test_base_copy_occupies_contiguous_prefix():
         assert (tag == 0) == (sid < space.base_size)
 
 
+def _members(space, mask):
+    return [space.decode(t)[0] for t in range(space.base_size) if (mask >> t) & 1]
+
+
+@given(st.lists(st.integers(1, 5), min_size=2, max_size=4), st.data())
+def test_space_masks_match_tuple_by_tuple_reference(sizes, data):
+    space = ProductSpace(sizes, 3)
+    tuples = [space.decode(t)[0] for t in range(space.base_size)]
+    for i, zero in enumerate(space.zero_masks):
+        assert _members(space, zero) == [c for c in tuples if c[i] == 0]
+
+    choices = [data.draw(st.sets(st.integers(0, n - 1))) for n in sizes]
+    assert _members(space, space.product_mask(choices)) == [
+        c for c in tuples if all(q in allowed for q, allowed in zip(c, choices))
+    ]
+
+    mask = data.draw(st.integers(0, (1 << space.base_size) - 1))
+    i = data.draw(st.integers(0, len(sizes) - 1))
+    targets = [data.draw(st.sets(st.integers(0, sizes[i] - 1))) for _ in range(sizes[i])]
+    expected = set()
+    for c in _members(space, mask):
+        for d in targets[c[i]]:
+            expected.add(c[:i] + (d,) + c[i + 1:])
+    assert set(_members(space, space.move(mask, i, targets))) == expected
+
+    if mask:
+        # row-major order of the matrix exposing component i: rows are the
+        # other components in mixed radix, lowest component least significant
+        def row(c):
+            return ProductSpace(sizes[:i] + sizes[i + 1:], 1).encode(c[:i] + c[i + 1:])
+
+        first = min(_members(space, mask), key=lambda c: (row(c), c[i]))
+        assert space.first_entry(mask, i) == (row(first), first[i])
+
+
 # --- reachability relations ----------------------------------------------------
 
 def test_reach_relation_empty_word_is_identity():
