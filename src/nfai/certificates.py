@@ -23,14 +23,13 @@ booleans, so tests can assert exactly which condition a mutation violates.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
 from .automata import EPSILON, InstanceBundle, adjacency_matrix
 from .boolmatrix import BoolMatrix
 from .decision import Decision
-from .products import BudgetExceeded, ProductSpace, builder_for, state_budget
+from .products import BudgetExceeded, ProductSpace, builder_for, reachable, state_budget
 
 CERT_MAGIC = "nfa-cert v1"
 
@@ -181,6 +180,15 @@ def _tuple_space(bundle: InstanceBundle) -> ProductSpace:
     return ProductSpace(tuple(a.n_states for a in bundle.automata), 1)
 
 
+def _check_tuple_budget(space: ProductSpace) -> None:
+    """Raise BudgetExceeded before any mask over a too large tuple space."""
+    limit = state_budget()
+    if space.base_size > limit:
+        raise BudgetExceeded(
+            f"cut tuple space has {space.base_size} tuples, over the state budget of {limit}"
+        )
+
+
 def extract_staggered_cut(bundle: InstanceBundle) -> StaggeredCut:
     """Collect the reachable copies of the nodding product into a cut.
 
@@ -190,29 +198,17 @@ def extract_staggered_cut(bundle: InstanceBundle) -> StaggeredCut:
     """
     builder = builder_for("nodding", bundle)
     space = builder.space
+    _check_tuple_budget(space)
     base_size = space.base_size
     k, l = bundle.k, bundle.n_letters
-    limit = state_budget()
     masks = [0] * space.n_tags
-    seen = {builder.initial}
-    queue = deque([builder.initial])
-    while queue:
-        sid = queue.popleft()
+    for sid, _ in reachable(builder):
         if builder.is_final(sid):
             raise ValueError("intersection is non-empty; no staggered cut exists")
         tag, rest = divmod(sid, base_size)
         masks[tag] |= 1 << rest
-        for (_, dst) in builder.successors(sid):
-            if dst not in seen:
-                if len(seen) >= limit:
-                    raise BudgetExceeded.exploring(builder.construction, limit)
-                seen.add(dst)
-                queue.append(dst)
-    sets = [masks[0]] * l
-    for volley in range(1, k):
-        for letter in range(l):
-            sets.append(masks[1 + letter * (k - 1) + (volley - 1)])
-    return StaggeredCut(l, tuple(a.n_states for a in bundle.automata), tuple(sets))
+    volleys = [masks[builder._tag(letter, i)] for i in range(1, k) for letter in range(l)]
+    return StaggeredCut(l, builder.sizes, tuple([masks[0]] * l + volleys))
 
 
 def _cut_shape_ok(bundle: InstanceBundle, cut: StaggeredCut, space: ProductSpace) -> bool:
@@ -229,20 +225,19 @@ def _check_cut_basics(bundle: InstanceBundle, cut: StaggeredCut, space: ProductS
     """Conditions shared by both verifiers: shape, base-copy agreement,
     initial membership, final exclusion.  None means all hold.
 
+    With no letters the only word is the empty one, and a cut (which then
+    has no subsets) stands for the initial tuple alone.
+
     Raises BudgetExceeded before allocating any mask over a tuple space
     larger than the state budget."""
     if not _cut_shape_ok(bundle, cut, space):
         return _reject("shape")
-    limit = state_budget()
-    if space.base_size > limit:
-        raise BudgetExceeded(
-            f"cut tuple space has {space.base_size} tuples, over the state budget of {limit}"
-        )
-    base = cut.set_for(0, 0)
+    _check_tuple_budget(space)
+    initial = space.encode([a.initial for a in bundle.automata])
+    base = cut.set_for(0, 0) if cut.n_letters else 1 << initial
     for letter in range(1, cut.n_letters):
         if cut.set_for(0, letter) != base:
             return _reject("base-copy-mismatch", letter)
-    initial = space.encode([a.initial for a in bundle.automata])
     if not (base >> initial) & 1:
         return _reject("initial-missing", initial)
     offending = base & space.product_mask([a.finals for a in bundle.automata])
@@ -356,6 +351,10 @@ def verify_staggered_cut_naive(bundle: InstanceBundle, cut: StaggeredCut) -> Ver
 
 # --- certificate files ------------------------------------------------------
 
+def _hex_mask(text: str) -> int:
+    return int.from_bytes(bytes.fromhex(text), "little")
+
+
 def _mask_hex(mask: int, n_bits: int) -> str:
     n_bytes = (n_bits + 7) // 8
     return mask.to_bytes(n_bytes, "little").hex()
@@ -390,6 +389,17 @@ def serialize_certificate(cert: Union[ShortPathset, StaggeredCut]) -> str:
 def parse_certificate(text: str) -> Union[ShortPathset, StaggeredCut]:
     from .fileformat import FormatError
 
+    def fields(no: int, parts: List[str], usage: str, count: Optional[int] = None, last=int) -> list:
+        """The fields after a directive, ``count`` of them unless None;
+        ``last`` converts the final one, ``int`` the others."""
+        args = parts[1:]
+        if count is None or len(args) == count:
+            try:
+                return [int(x) for x in args[:-1]] + [last(x) for x in args[-1:]]
+            except ValueError:
+                pass
+        raise FormatError(f"{parts[0]!r} takes {usage}", no)
+
     lines = []
     for no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -408,19 +418,17 @@ def parse_certificate(text: str) -> Union[ShortPathset, StaggeredCut]:
         for no, line in body:
             parts = line.split()
             if parts[0] == "k":
-                k = int(parts[1])
+                (k,) = fields(no, parts, "one count", 1)
             elif parts[0] == "word":
-                word = tuple(int(x) for x in parts[1:])
+                word = tuple(fields(no, parts, "letters"))
             elif parts[0] == "run":
-                if int(parts[1]) != len(runs):
+                if fields(no, parts, "one run index", 1)[0] != len(runs):
                     raise FormatError("runs must appear in order", no)
                 runs.append([])
             elif parts[0] == "step":
                 if not runs:
                     raise FormatError("'step' before any 'run'", no)
-                if len(parts) != 4:
-                    raise FormatError("'step' takes src letter dst", no)
-                runs[-1].append((int(parts[1]), int(parts[2]), int(parts[3])))
+                runs[-1].append(tuple(fields(no, parts, "src letter dst", 3)))
             else:
                 raise FormatError(f"unknown directive {parts[0]!r}", no)
         if k is None or word is None:
@@ -435,15 +443,14 @@ def parse_certificate(text: str) -> Union[ShortPathset, StaggeredCut]:
     for no, line in body:
         parts = line.split()
         if parts[0] == "k":
-            k = int(parts[1])
+            (k,) = fields(no, parts, "one count", 1)
         elif parts[0] == "alphabet":
-            alphabet = int(parts[1])
+            (alphabet,) = fields(no, parts, "one count", 1)
         elif parts[0] == "states":
-            sizes = tuple(int(x) for x in parts[1:])
+            sizes = tuple(fields(no, parts, "component sizes"))
         elif parts[0] == "set":
-            if len(parts) != 4:
-                raise FormatError("'set' takes component letter hex", no)
-            sets[(int(parts[1]), int(parts[2]))] = int.from_bytes(bytes.fromhex(parts[3]), "little")
+            i, letter, mask = fields(no, parts, "component letter hex", 3, _hex_mask)
+            sets[(i, letter)] = mask
         else:
             raise FormatError(f"unknown directive {parts[0]!r}", no)
     if k is None or alphabet is None or sizes is None:

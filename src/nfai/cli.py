@@ -159,19 +159,6 @@ def cmd_rs(args) -> int:
     return 1
 
 
-_BOUND_CHECKS = {
-    "nodding": lambda s: s.transitions_accessible
-    <= s.k * s.n_transitions_max * s.n_states_max ** (s.k - 1),
-    "echoing": lambda s: s.transitions_accessible
-    <= s.k * s.n_transitions_max * s.n_states_max ** (s.k - 1),
-    "catchup": lambda s: s.transitions_accessible
-    <= 2 * s.k * s.n_letters ** s.k * s.m_leq_k * s.n_states_max ** (s.k - 1),
-    "leapfrog": lambda s: s.transitions_accessible
-    <= 2 * s.k * s.n_letters ** s.k * s.m_leq_k * s.n_states_max ** (s.k - 1),
-    "direct": lambda s: s.transitions_accessible <= s.n_transitions_max ** s.k,
-}
-
-
 def _bench_one(job):
     instance_id, k, l, n, density, seed, construction, budget, timing = job
     bundle = hardness.random_bundle(k, n, l, density, seed)
@@ -185,7 +172,8 @@ def _bench_one(job):
             f"0,0,{elapsed},SKIP"
         )
     elapsed = time.perf_counter_ns() - start if timing else 0
-    if not _BOUND_CHECKS[construction](stats):
+    bounds = products.SIZE_BOUNDS[construction](k, l, n, stats.n_transitions_max, stats.m_leq_k)
+    if stats.transitions_accessible > bounds[1]:
         raise AssertionError(
             f"size bound violated for {construction} on {instance_id}: {stats}"
         )

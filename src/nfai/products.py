@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -255,6 +254,11 @@ class ProductBuilder:
         self.n_letters = bundle.n_letters
         self.sizes = tuple(a.n_states for a in bundle.automata)
         self._final_sets = [a.finals for a in bundle.automata]
+        # adj[i][letter][q]: successors of state q of component i
+        self.adj = [
+            [[a.successors(q, s) for q in range(a.n_states)] for s in range(self.n_letters)]
+            for a in bundle.automata
+        ]
 
     # subclasses set self.space and self.initial and implement these:
     def successors(self, sid: int) -> list:
@@ -291,10 +295,6 @@ class _DirectBuilder(ProductBuilder):
         super().__init__(bundle)
         self.space = ProductSpace(self.sizes, 1)
         self.initial = self.space.encode([a.initial for a in bundle.automata])
-        self.adj = [
-            [[a.successors(q, s) for q in range(a.n_states)] for s in range(self.n_letters)]
-            for a in bundle.automata
-        ]
 
     def successors(self, sid: int) -> list:
         space = self.space
@@ -336,10 +336,6 @@ class _PetalBuilder(ProductBuilder):
         # tag 0 = base copy; tag for (letter, volley j in [1, k-1]) follows
         self.space = ProductSpace(self.sizes, 1 + self.n_letters * (self.k - 1))
         self.initial = self.space.encode([a.initial for a in bundle.automata])
-        self.adj = [
-            [[a.successors(q, s) for q in range(a.n_states)] for s in range(self.n_letters)]
-            for a in bundle.automata
-        ]
 
     def _tag(self, letter: int, j: int) -> int:
         return 1 + letter * (self.k - 1) + (j - 1)
@@ -425,6 +421,14 @@ class _WordVolleyBuilder(ProductBuilder):
                 )
             self.can_finish.append(table)
 
+    def _advance(self, sid_rest, comp, word, label, next_tag, out):
+        space = self.space
+        stride = space.strides[comp]
+        q = (sid_rest // stride) % self.sizes[comp]
+        offset = next_tag * space.base_size + sid_rest - q * stride
+        for dst in self.rel_adj[comp][word][q]:
+            out.append((label, offset + dst * stride))
+
 
 class _CatchupBuilder(_WordVolleyBuilder):
     construction = "catchup"
@@ -448,14 +452,6 @@ class _CatchupBuilder(_WordVolleyBuilder):
 
     def tag_value(self, tag_index: int):
         return self.tags[tag_index]
-
-    def _advance(self, sid_rest, comp, word, label, next_tag, out):
-        space = self.space
-        stride = space.strides[comp]
-        q = (sid_rest // stride) % self.sizes[comp]
-        offset = next_tag * space.base_size + sid_rest - q * stride
-        for dst in self.rel_adj[comp][word][q]:
-            out.append((label, offset + dst * stride))
 
     def successors(self, sid: int) -> list:
         space = self.space
@@ -538,14 +534,6 @@ class _LeapfrogBuilder(_WordVolleyBuilder):
     def tag_value(self, tag_index: int):
         return self.tags[tag_index]
 
-    def _advance(self, sid_rest, comp, word, label, next_tag, out):
-        space = self.space
-        stride = space.strides[comp]
-        q = (sid_rest // stride) % self.sizes[comp]
-        offset = next_tag * space.base_size + sid_rest - q * stride
-        for dst in self.rel_adj[comp][word][q]:
-            out.append((label, offset + dst * stride))
-
     def successors(self, sid: int) -> list:
         space = self.space
         tag_i, rest = divmod(sid, space.base_size)
@@ -626,6 +614,18 @@ def builder_for(construction: str, bundle: InstanceBundle) -> ProductBuilder:
     return cls(bundle)
 
 
+#: Per construction, its (states, transitions) size bound as a function of
+#: the bundle's k, alphabet size l, largest component n (states) and m
+#: (transitions), and m_leq_k.  Accessible parts obey the same bounds.
+SIZE_BOUNDS = {
+    "direct": lambda k, l, n, m, mk: (n ** k, m ** k),
+    "nodding": lambda k, l, n, m, mk: ((k * l - l + 1) * n ** k, k * m * n ** (k - 1)),
+    "echoing": lambda k, l, n, m, mk: ((k * l - l + 1) * n ** k, k * m * n ** (k - 1)),
+    "catchup": lambda k, l, n, m, mk: (2 * k * l ** k * n ** k, 2 * k * l ** k * mk * n ** (k - 1)),
+    "leapfrog": lambda k, l, n, m, mk: (2 * k * l ** (k - 1) * n ** k, 2 * k * l ** k * mk * n ** (k - 1)),
+}
+
+
 @dataclass(frozen=True)
 class SparsityStats:
     """Size accounting for one construction on one bundle."""
@@ -693,31 +693,23 @@ def leapfrog_product(bundle: InstanceBundle, budget: Optional[int] = None) -> Nf
     return materialize("leapfrog", bundle, budget)
 
 
-def _explore(builder: ProductBuilder, budget: Optional[int], collect: bool):
-    """BFS over the accessible part.  Returns (order, index, transitions,
-    transition_count); ``transitions`` is None when only counting."""
+def reachable(builder: ProductBuilder, budget: Optional[int] = None):
+    """Breadth-first walk of the accessible part: yields ``(sid,
+    builder.successors(sid))`` for every accessible state in discovery order,
+    each before its successors are discovered.  Raises BudgetExceeded on the
+    first new state beyond ``state_budget(budget)``."""
     limit = state_budget(budget)
-    index = {builder.initial: 0}
-    order = [builder.initial]
-    transitions = [] if collect else None
-    count = 0
-    queue = deque([builder.initial])
-    while queue:
-        sid = queue.popleft()
-        src = index[sid]
-        for (label, dst) in builder.successors(sid):
-            count += 1
-            target = index.get(dst)
-            if target is None:
-                if len(index) >= limit:
+    seen = {builder.initial}
+    order = [builder.initial]  # the discovery list doubles as the queue
+    for sid in order:
+        successors = builder.successors(sid)
+        yield sid, successors
+        for (_, dst) in successors:
+            if dst not in seen:
+                if len(seen) >= limit:
                     raise BudgetExceeded.exploring(builder.construction, limit)
-                target = len(index)
-                index[dst] = target
+                seen.add(dst)
                 order.append(dst)
-                queue.append(dst)
-            if collect:
-                transitions.append((src, label, target))
-    return order, index, transitions, count
 
 
 def _stats(builder: ProductBuilder, bundle: InstanceBundle, states_acc: int, trans_acc: int) -> SparsityStats:
@@ -743,11 +735,20 @@ def accessible_part(
     sub-automaton (states renumbered in discovery order, initial = 0) and
     size statistics."""
     builder = builder_for(construction, bundle)
-    order, index, transitions, count = _explore(builder, budget, collect=True)
-    finals = frozenset(index[sid] for sid in order if builder.is_final(sid))
+    # the core discovers states in the order their successor lists are
+    # yielded, so numbering each target on first sight reproduces its order
+    index = {builder.initial: 0}
+    transitions = []
+    for src, (_, successors) in enumerate(reachable(builder, budget)):
+        for (label, dst) in successors:
+            target = index.get(dst)
+            if target is None:
+                target = index[dst] = len(index)
+            transitions.append((src, label, target))
+    finals = frozenset(i for sid, i in index.items() if builder.is_final(sid))
     cls = EpsilonNfa if builder.epsilon else Nfa
-    automaton = cls(len(order), builder.n_letters, tuple(transitions), 0, finals)
-    return automaton, _stats(builder, bundle, len(order), count)
+    automaton = cls(len(index), builder.n_letters, tuple(transitions), 0, finals)
+    return automaton, _stats(builder, bundle, len(index), len(transitions))
 
 
 def accessible_stats(
@@ -756,6 +757,6 @@ def accessible_stats(
     """Counting-only exploration: statistics plus whether any final state is
     reachable, without storing the sub-automaton."""
     builder = builder_for(construction, bundle)
-    order, _, _, count = _explore(builder, budget, collect=False)
-    nonempty = any(builder.is_final(sid) for sid in order)
-    return _stats(builder, bundle, len(order), count), nonempty
+    visits = [(sid, len(successors)) for sid, successors in reachable(builder, budget)]
+    nonempty = any(builder.is_final(sid) for sid, _ in visits)
+    return _stats(builder, bundle, len(visits), sum(n for _, n in visits)), nonempty

@@ -38,7 +38,7 @@ from nfai.oracle import (
     difference_witness,
     intersection_search,
 )
-from nfai.products import CONSTRUCTIONS, builder_for, m_leq_k, materialize
+from nfai.products import CONSTRUCTIONS, SIZE_BOUNDS, builder_for, m_leq_k, materialize
 from nfai.relations import MultiTapeAutomaton, decide_rs, ie_to_rs, rs_to_ie
 
 from helpers import (
@@ -67,8 +67,9 @@ def corpus():
 @pytest.fixture(scope="session")
 def corpus_sweep(corpus):
     """One pass over the corpus materializing every construction, comparing
-    bounded languages against the oracle acceptors, and recording size-bound
-    compliance.  Shared by criteria 1 and 2."""
+    bounded languages against the oracle acceptors, and recording compliance
+    with the construction's state and transition bounds in
+    ``products.SIZE_BOUNDS``.  Shared by criteria 1 and 2."""
     language_failures = []
     bound_failures = []
     start = time.perf_counter()
@@ -86,21 +87,11 @@ def corpus_sweep(corpus):
             )
             if counterexample is not None:
                 language_failures.append((name, construction, counterexample))
-            if construction == "nodding":
-                if product.n_states > (k * l - l + 1) * n ** k:
-                    bound_failures.append((name, "nodding-states"))
-                if product.m > k * m * n ** (k - 1):
-                    bound_failures.append((name, "nodding-transitions"))
-            elif construction == "catchup":
-                if product.n_states > 2 * k * l ** k * n ** k:
-                    bound_failures.append((name, "catchup-states"))
-                if product.m > 2 * k * l ** k * mk * n ** (k - 1):
-                    bound_failures.append((name, "catchup-transitions"))
-            elif construction == "leapfrog":
-                if product.n_states > 2 * k * l ** (k - 1) * n ** k:
-                    bound_failures.append((name, "leapfrog-states"))
-                if product.m > 2 * k * l ** k * mk * n ** (k - 1):
-                    bound_failures.append((name, "leapfrog-transitions"))
+            states_bound, transitions_bound = SIZE_BOUNDS[construction](k, l, n, m, mk)
+            if product.n_states > states_bound:
+                bound_failures.append((name, f"{construction}-states"))
+            if product.m > transitions_bound:
+                bound_failures.append((name, f"{construction}-transitions"))
     elapsed = time.perf_counter() - start
     return {
         "language_failures": language_failures,

@@ -425,6 +425,41 @@ def test_cut_extraction_honours_state_budget(monkeypatch):
         extract_staggered_cut(bundle)
 
 
+def _sparse_wide_bundle(n):
+    """Two n-state components: empty, 3 accessible nodding states, n*n tuples."""
+    a = Nfa(n, 1, ((0, 0, 1),), 0, frozenset({1}))
+    b = Nfa(n, 1, ((0, 0, 0),), 0, frozenset())
+    return InstanceBundle((a, b))
+
+
+def test_cut_extraction_checks_tuple_space_against_budget(monkeypatch):
+    bundle = _sparse_wide_bundle(10)
+    monkeypatch.setenv("NFAI_STATE_BUDGET", "100")  # exactly the 10x10 tuple space
+    cut = extract_staggered_cut(bundle)
+    assert verify_staggered_cut(bundle, cut).ok
+    monkeypatch.setenv("NFAI_STATE_BUDGET", "99")  # still far above the 3 states explored
+    with pytest.raises(BudgetExceeded, match="cut tuple space has 100 tuples"):
+        extract_staggered_cut(bundle)
+
+
+# --- empty alphabet ---------------------------------------------------------------
+
+def _letterless_bundle(all_initial_final):
+    a = Nfa(1, 0, (), 0, frozenset({0}) if all_initial_final else frozenset())
+    b = Nfa(2, 0, (), 1, frozenset({1}))
+    return InstanceBundle((a, b))
+
+
+def test_letterless_cut_valid_iff_initial_tuple_not_final():
+    empty = _letterless_bundle(False)
+    cut = extract_staggered_cut(empty)
+    assert cut == StaggeredCut(0, (1, 2), ())
+    for verifier in (verify_staggered_cut, verify_staggered_cut_naive):
+        assert verifier(empty, cut) == ACCEPT
+        # the initial tuple (0, 1) is encoded as 0 + 1 * 1
+        assert verifier(_letterless_bundle(True), cut) == Verdict(False, "final-present", (1,))
+
+
 # --- In/Out matrices ------------------------------------------------------------
 
 def test_in_out_zero_and_full():

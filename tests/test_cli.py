@@ -246,6 +246,76 @@ def test_decide_and_certify_honour_state_budget(clique_file, tmp_path, monkeypat
     assert err.count("error:") == 2 and "budget" in err
 
 
+def test_certify_checks_cut_tuple_space_against_budget(tmp_path, monkeypatch, capsys):
+    # two 6000-state components with 3 accessible nodding states: the cut
+    # would hold 36,000,000 tuples per subset
+    block = "nfa\nstates 6000\nalphabet 1\ninitial 0\nfinal {}\ntrans 0 0 {}\n"
+    bundle = tmp_path / "wide.nfa"
+    bundle.write_text(block.format("1", "1") + "---\n" + block.format("", "0"))
+    cert = tmp_path / "wide.cert"
+    monkeypatch.setenv("NFAI_STATE_BUDGET", "1000000")
+    assert main(["certify", str(bundle), "-o", str(cert)]) == 2
+    assert "36000000 tuples" in capsys.readouterr().err
+    assert not cert.exists()
+
+
+def _letterless_bundle_text(first_final):
+    block = "nfa\nstates 1\nalphabet 0\ninitial 0\nfinal {}\n"
+    return block.format("0" if first_final else "") + "---\n" + block.format("0")
+
+
+def test_letterless_certify_verify(tmp_path, capsys):
+    empty, nonempty = tmp_path / "empty.nfa", tmp_path / "eps.nfa"
+    empty.write_text(_letterless_bundle_text(False))
+    nonempty.write_text(_letterless_bundle_text(True))
+    cert = tmp_path / "cut.cert"
+    assert main(["certify", str(empty), "-o", str(cert)]) == 0
+    assert "set " not in cert.read_text()
+    capsys.readouterr()
+    assert main(["verify", str(empty), str(cert)]) == 0
+    assert capsys.readouterr().out == "VALID cut\n"
+    # every initial state final: the empty word is in the intersection
+    assert main(["verify", str(nonempty), str(cert)]) == 1
+    assert capsys.readouterr().out == "INVALID cut: final-present at 0\n"
+
+
+_CERT_HEADERS = {
+    "pathset": ["nfa-cert v1", "pathset", "k 2", "word 0", "run 0"],
+    "cut": ["nfa-cert v1", "cut", "k 2", "alphabet 2", "states 2 2"],
+}
+
+
+@pytest.mark.parametrize(
+    "kind,line",
+    [
+        ("pathset", "k"),
+        ("pathset", "k two"),
+        ("pathset", "word 0 x"),
+        ("pathset", "run"),
+        ("pathset", "run x"),
+        ("pathset", "step 0 0"),
+        ("pathset", "step 0 a 1"),
+        ("cut", "k"),
+        ("cut", "k 2 2"),
+        ("cut", "alphabet"),
+        ("cut", "alphabet two"),
+        ("cut", "states 2 x"),
+        ("cut", "set 0 0"),
+        ("cut", "set 0 x 0f"),
+        ("cut", "set 0 0 zz"),
+        ("cut", "set 0 0 abc"),
+    ],
+)
+def test_verify_malformed_certificate_line(empty_file, tmp_path, capsys, kind, line):
+    cert = tmp_path / "bad.cert"
+    cert.write_text("\n".join(_CERT_HEADERS[kind] + [line]) + "\n")
+    assert main(["verify", str(empty_file), str(cert)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 6: ")
+    assert "Traceback" not in captured.err
+
+
 def test_product_golden_output(tmp_path, capsys):
     bundle_text = (
         "nfa\nstates 2\nalphabet 1\ninitial 0\nfinal 1\ntrans 0 0 1\n"

@@ -10,6 +10,7 @@ from nfai.hardness import random_bundle, random_nfa
 from nfai.oracle import BundleAcceptor, DetAcceptor, StutterAcceptor, difference_witness
 from nfai.products import (
     CONSTRUCTIONS,
+    SIZE_BOUNDS,
     BudgetExceeded,
     ProductSpace,
     accessible_part,
@@ -321,6 +322,18 @@ def test_materialized_counts_match_builder_totals():
         product = materialize(construction, bundle)
         assert product.n_states == builder.total_states()
         assert product.m == builder.total_transitions()
+
+
+def test_size_bounds_pinned_at_one_point():
+    # k=3, l=2, n=4, m=5, m_leq_k=7, computed by hand from the paper's bounds
+    expected = {
+        "direct": (64, 125),  # n^k, m^k
+        "nodding": (320, 240),  # (kl - l + 1) n^k, k m n^(k-1)
+        "echoing": (320, 240),
+        "catchup": (3072, 5376),  # 2k l^k n^k, 2k l^k m_leq_k n^(k-1)
+        "leapfrog": (1536, 5376),  # 2k l^(k-1) n^k, 2k l^k m_leq_k n^(k-1)
+    }
+    assert {c: SIZE_BOUNDS[c](3, 2, 4, 5, 7) for c in CONSTRUCTIONS} == expected
 
 
 def test_materialize_budget():
