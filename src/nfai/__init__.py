@@ -64,7 +64,6 @@ from .oracle import (
 from .products import (
     CONSTRUCTIONS,
     BudgetExceeded,
-    ProductStateId,
     ReachRelation,
     SparsityStats,
     accessible_part,

@@ -207,7 +207,7 @@ def extract_staggered_cut(bundle: InstanceBundle) -> StaggeredCut:
             raise ValueError("intersection is non-empty; no staggered cut exists")
         tag, rest = divmod(sid, base_size)
         masks[tag] |= 1 << rest
-    volleys = [masks[builder._tag(letter, i)] for i in range(1, k) for letter in range(l)]
+    volleys = [masks[builder.tag_index[(letter, i)]] for i in range(1, k) for letter in range(l)]
     return StaggeredCut(l, builder.sizes, tuple([masks[0]] * l + volleys))
 
 

@@ -14,6 +14,14 @@ accessible part:
 * ``leapfrog`` - epsilon-free; components take turns jumping a whole k-letter
   window ahead, so copies are tagged by the last k-1 letters only.
 
+The four sparse constructions are one idea wired four ways: copies of the
+state-tuple space, tagged by the letters still owed, joined by volleys that
+each advance one component through one word relation into the next copy.
+Each is described as data - its copy tags, the volleys leaving each copy and
+the component states a final tuple of each copy needs - and
+``ProductBuilder`` reads successors, finality and size totals off that
+table.
+
 All constructions share a mixed-radix state encoding with the copy tag most
 significant and component 0 least significant, so tuples of the tag-0 copy
 occupy a contiguous prefix of the id space.
@@ -22,10 +30,11 @@ occupy a contiguous prefix of the id space.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .automata import EPSILON, EpsilonNfa, InstanceBundle, Nfa, adjacency_matrix
 from .boolmatrix import BoolMatrix
@@ -49,15 +58,6 @@ def state_budget(explicit: Optional[int] = None) -> int:
         return explicit
     env = os.environ.get(STATE_BUDGET_ENV)
     return int(env) if env else DEFAULT_STATE_BUDGET
-
-
-@dataclass(frozen=True)
-class ProductStateId:
-    """Decoded product state: one state per component plus a copy tag."""
-
-    components: tuple
-    copy_tag: object
-    encoded: int
 
 
 class ProductSpace:
@@ -237,12 +237,23 @@ def _adjacency_lists(matrix: BoolMatrix) -> tuple:
 
 
 class ProductBuilder:
-    """Lazy view of one product construction over one bundle.
+    """Lazy view of one product construction over one bundle, as a table of
+    copies and volleys.
 
-    Exposes the encoded initial state, per-state successor generation (in a
-    deterministic order: label ascending, then target id), finality, and
-    analytic size totals, so that search, materialization, and statistics all
-    share one definition of the automaton.
+    A sparse product is made of copies of the state-tuple space, one per tag
+    in ``tags``; ``tag_index`` maps a tag to its position, the most
+    significant digit of a state id, and copy 0 holds the initial tuple.
+    ``moves[t]`` lists the volleys that leave copy t, each as ``(component,
+    lists, label, next_tag)``: reading ``label``, the component moves from
+    state q to every state of ``lists[q]``, the other components stay, and
+    the tuple lands in copy ``next_tag``.  ``accept[t]`` gives, per
+    component, the states a final tuple of copy t needs, or None if the copy
+    holds no final state.
+
+    Subclasses describe their copies through ``_tags``, ``_volleys`` and
+    ``_accept``; successors (label ascending, then target id), finality and
+    the size totals are all read off the table, so search, materialization
+    and statistics share one definition of the automaton.
     """
 
     construction: str = ""
@@ -253,48 +264,108 @@ class ProductBuilder:
         self.k = bundle.k
         self.n_letters = bundle.n_letters
         self.sizes = tuple(a.n_states for a in bundle.automata)
-        self._final_sets = [a.finals for a in bundle.automata]
+        self.finals = tuple(a.finals for a in bundle.automata)
         # adj[i][letter][q]: successors of state q of component i
         self.adj = [
             [[a.successors(q, s) for q in range(a.n_states)] for s in range(self.n_letters)]
             for a in bundle.automata
         ]
+        self.tags = self._tags()
+        self.tag_index = {tag: i for i, tag in enumerate(self.tags)}
+        self.space = ProductSpace(self.sizes, len(self.tags))
+        self.initial = self.space.encode([a.initial for a in bundle.automata])
+        self.moves = [
+            [(comp, lists, label, self.tag_index[nxt]) for comp, lists, label, nxt in self._volleys(tag)]
+            for tag in self.tags
+        ]
+        self.accept = [self._accept(tag) for tag in self.tags]
+        # a copy whose volleys carry strictly increasing labels already
+        # yields its successors sorted; only the others need a sort
+        self._needs_sort = [
+            any(a[2] >= b[2] for a, b in zip(moves, moves[1:])) for moves in self.moves
+        ]
 
-    # subclasses set self.space and self.initial and implement these:
+    def _tags(self) -> list:
+        """The copy tags, the copy of the initial tuple first."""
+        return ["base"]
+
+    def _volleys(self, tag) -> list:
+        """``(component, lists, label, next tag)`` for each volley leaving
+        the copy ``tag``, in label order."""
+        return []
+
+    def _accept(self, tag):
+        """Per component, the states a final tuple of copy ``tag`` needs;
+        None if the copy holds no final state."""
+        return self.finals
+
+    @cached_property
+    def word_adj(self) -> list:
+        """word_adj[i][u][q]: the states component i reaches from q reading
+        the word u, for every u of length <= k."""
+        return [
+            {u: _adjacency_lists(matrix) for u, matrix in reach_map(a, self.k).items()}
+            for a in self.bundle.automata
+        ]
+
+    @cached_property
+    def can_finish(self) -> list:
+        """can_finish[i][u]: the states of component i that reach a final
+        state reading u."""
+        return [
+            {u: frozenset(q for q, dsts in enumerate(lists) if not finals.isdisjoint(dsts))
+             for u, lists in table.items()}
+            for table, finals in zip(self.word_adj, self.finals)
+        ]
+
     def successors(self, sid: int) -> list:
-        raise NotImplementedError
+        space = self.space
+        base = space.base_size
+        tag, rest = divmod(sid, base)
+        out = []
+        for comp, lists, label, nxt in self.moves[tag]:
+            stride = space.strides[comp]
+            q = rest // stride % self.sizes[comp]
+            offset = nxt * base + rest - q * stride
+            for dst in lists[q]:
+                out.append((label, offset + dst * stride))
+        if self._needs_sort[tag]:
+            out.sort()
+        return out
 
     def is_final(self, sid: int) -> bool:
-        raise NotImplementedError
+        space = self.space
+        tag, rest = divmod(sid, space.base_size)
+        accept = self.accept[tag]
+        if accept is None:
+            return False
+        for allowed, stride, n in zip(accept, space.strides, self.sizes):
+            if rest // stride % n not in allowed:
+                return False
+        return True
 
     def total_states(self) -> int:
         return self.space.total
 
     def total_transitions(self) -> int:
-        raise NotImplementedError
-
-    def describe(self, sid: int) -> ProductStateId:
-        components, tag = self.space.decode(sid)
-        return ProductStateId(components, self.tag_value(tag), sid)
+        # a volley moving component i through lists fires once per pair in
+        # lists for each of the base_size / n_i settings of the others
+        base = self.space.base_size
+        return sum(
+            sum(map(len, lists)) * (base // self.sizes[comp])
+            for moves in self.moves
+            for comp, lists, _, _ in moves
+        )
 
     def tag_value(self, tag_index: int):
-        raise NotImplementedError
-
-    def _tuple_final(self, sid: int) -> bool:
-        space = self.space
-        for i, finals in enumerate(self._final_sets):
-            if space.component(sid, i) not in finals:
-                return False
-        return True
+        return self.tags[tag_index]
 
 
 class _DirectBuilder(ProductBuilder):
-    construction = "direct"
+    """One copy and no volleys: all components move at once, so the
+    successors and the transition count are its own."""
 
-    def __init__(self, bundle: InstanceBundle):
-        super().__init__(bundle)
-        self.space = ProductSpace(self.sizes, 1)
-        self.initial = self.space.encode([a.initial for a in bundle.automata])
+    construction = "direct"
 
     def successors(self, sid: int) -> list:
         space = self.space
@@ -302,299 +373,122 @@ class _DirectBuilder(ProductBuilder):
         out = []
         for letter in range(self.n_letters):
             lists = [self.adj[i][letter][comps[i]] for i in range(self.k)]
-            if any(not lst for lst in lists):
-                continue
             for targets in itertools.product(*lists):
                 out.append((letter, space.encode(targets)))
         out.sort()
         return out
 
-    def is_final(self, sid: int) -> bool:
-        return self._tuple_final(sid)
-
-    def tag_value(self, tag_index: int):
-        return "base"
-
     def total_transitions(self) -> int:
-        total = 0
-        for letter in range(self.n_letters):
-            prod = 1
-            for a in self.bundle.automata:
-                prod *= sum(1 for (_, lab, _) in a.transitions if lab == letter)
-            total += prod
-        return total
+        return sum(
+            math.prod(sum(map(len, lists[letter])) for lists in self.adj)
+            for letter in range(self.n_letters)
+        )
 
 
-class _PetalBuilder(ProductBuilder):
-    """Shared skeleton of the nodding and echoing products: one petal of k
-    volleys per letter, glued at a base copy.  Volley 0 reads the letter and
-    advances component 0; volley i advances component i.  The two builders
-    differ only in the label carried by volleys 1..k-1."""
+class _NoddingBuilder(ProductBuilder):
+    """A flower of one petal per letter, glued at the base copy.  From the
+    base, component 0 reads the letter into copy ``(letter, 1)``; from copy
+    ``(letter, j)``, component j moves on the letter by an epsilon move into
+    ``(letter, j + 1)``, the last volley back into the base."""
 
-    def __init__(self, bundle: InstanceBundle):
-        super().__init__(bundle)
-        # tag 0 = base copy; tag for (letter, volley j in [1, k-1]) follows
-        self.space = ProductSpace(self.sizes, 1 + self.n_letters * (self.k - 1))
-        self.initial = self.space.encode([a.initial for a in bundle.automata])
-
-    def _tag(self, letter: int, j: int) -> int:
-        return 1 + letter * (self.k - 1) + (j - 1)
-
-    def tag_value(self, tag_index: int):
-        if tag_index == 0:
-            return "base"
-        letter, j = divmod(tag_index - 1, self.k - 1)
-        return (letter, j + 1)
-
-    def _volley_label(self, letter: int) -> int:
-        raise NotImplementedError
-
-    def successors(self, sid: int) -> list:
-        space = self.space
-        base = space.base_size
-        tag, rest = divmod(sid, base)
-        out = []
-        if tag == 0:
-            q0 = rest % self.sizes[0]
-            stride = space.strides[0]
-            for letter in range(self.n_letters):
-                offset = self._tag(letter, 1) * base + rest - q0 * stride
-                for dst in self.adj[0][letter][q0]:
-                    out.append((letter, offset + dst * stride))
-        else:
-            letter, j = divmod(tag - 1, self.k - 1)
-            j += 1
-            qj = (rest // space.strides[j]) % self.sizes[j]
-            stride = space.strides[j]
-            next_tag = 0 if j == self.k - 1 else tag + 1
-            label = self._volley_label(letter)
-            offset = next_tag * base + rest - qj * stride
-            for dst in self.adj[j][letter][qj]:
-                out.append((label, offset + dst * stride))
-        return out
-
-    def is_final(self, sid: int) -> bool:
-        return sid < self.space.base_size and self._tuple_final(sid)
-
-    def total_transitions(self) -> int:
-        base = self.space.base_size
-        return sum(a.m * (base // self.sizes[i]) for i, a in enumerate(self.bundle.automata))
-
-
-class _NoddingBuilder(_PetalBuilder):
     construction = "nodding"
     epsilon = True
 
-    def _volley_label(self, letter: int) -> int:
-        return EPSILON
+    def _tags(self) -> list:
+        return ["base"] + [(letter, j) for letter in range(self.n_letters) for j in range(1, self.k)]
+
+    def _volleys(self, tag) -> list:
+        if tag == "base":
+            return [(0, self.adj[0][s], s, (s, 1)) for s in range(self.n_letters)]
+        letter, j = tag
+        label = EPSILON if self.epsilon else letter
+        return [(j, self.adj[j][letter], label, (letter, j + 1) if j < self.k - 1 else "base")]
+
+    def _accept(self, tag):
+        return self.finals if tag == "base" else None
 
 
-class _EchoingBuilder(_PetalBuilder):
+class _EchoingBuilder(_NoddingBuilder):
+    """The nodding flower with every epsilon move labelled by its petal's
+    letter."""
+
     construction = "echoing"
-
-    def _volley_label(self, letter: int) -> int:
-        return letter
+    epsilon = False
 
 
-class _WordVolleyBuilder(ProductBuilder):
-    """Shared machinery for the catch-up and leapfrog products: volleys that
-    advance one component by a whole word via precomputed reachability
-    relations.  Subclasses lay out the copy tags and wiring."""
+class _CatchupBuilder(ProductBuilder):
+    """From the base copy, one petal per k-letter word u: copy ``("petal",
+    u, j)`` moves component j by the whole word u, reading ``u[j]``, and the
+    last volley returns to the base.  Per shorter word v a tail does the
+    same without returning; its last copy ``("tail", v, |v|)`` accepts when
+    the components moved are final and the others can finish reading v."""
 
-    def __init__(self, bundle: InstanceBundle):
-        super().__init__(bundle)
-        self.rel = [reach_map(a, self.k) for a in bundle.automata]
-        self.rel_adj = [
-            {u: _adjacency_lists(matrix) for u, matrix in table.items()}
-            for table in self.rel
-        ]
-        # can_finish[i][u]: states of component i that reach a final reading u
-        self.can_finish = []
-        for i, a in enumerate(bundle.automata):
-            fmask = 0
-            for q in a.finals:
-                fmask |= 1 << q
-            table = {}
-            for u, matrix in self.rel[i].items():
-                table[u] = frozenset(
-                    q for q in range(a.n_states) if matrix.row_bits[q] & fmask
-                )
-            self.can_finish.append(table)
-
-    def _advance(self, sid_rest, comp, word, label, next_tag, out):
-        space = self.space
-        stride = space.strides[comp]
-        q = (sid_rest // stride) % self.sizes[comp]
-        offset = next_tag * space.base_size + sid_rest - q * stride
-        for dst in self.rel_adj[comp][word][q]:
-            out.append((label, offset + dst * stride))
-
-
-class _CatchupBuilder(_WordVolleyBuilder):
     construction = "catchup"
 
-    def __init__(self, bundle: InstanceBundle):
-        super().__init__(bundle)
+    def _tags(self) -> list:
         k, l = self.k, self.n_letters
-        # tags: base, petal copies (u in Sigma^k, volley position 1..k-1),
-        # tail copies (v in Sigma^(1..k-1), position 1..|v|)
-        self.tags: List[tuple] = [("base",)]
-        for u in _words(l, k):
-            for j in range(1, k):
-                self.tags.append(("petal", u, j))
-        for t in range(1, k):
-            for v in _words(l, t):
-                for j in range(1, t + 1):
-                    self.tags.append(("tail", v, j))
-        self.tag_index = {tag: i for i, tag in enumerate(self.tags)}
-        self.space = ProductSpace(self.sizes, len(self.tags))
-        self.initial = self.space.encode([a.initial for a in bundle.automata])
+        tags = [("base",)]
+        tags += [("petal", u, j) for u in _words(l, k) for j in range(1, k)]
+        tags += [("tail", v, j) for t in range(1, k) for v in _words(l, t) for j in range(1, t + 1)]
+        return tags
 
-    def tag_value(self, tag_index: int):
-        return self.tags[tag_index]
-
-    def successors(self, sid: int) -> list:
-        space = self.space
-        tag_i, rest = divmod(sid, space.base_size)
-        tag = self.tags[tag_i]
-        out: list = []
+    def _volleys(self, tag) -> list:
+        k, l, word_adj = self.k, self.n_letters, self.word_adj
         if tag[0] == "base":
-            k, l = self.k, self.n_letters
-            for u in _words(l, k):
-                self._advance(rest, 0, u, u[0], self.tag_index[("petal", u, 1)], out)
-            for t in range(1, k):
-                for v in _words(l, t):
-                    self._advance(rest, 0, v, v[0], self.tag_index[("tail", v, 1)], out)
-        elif tag[0] == "petal":
-            _, u, j = tag
-            next_tag = 0 if j == self.k - 1 else self.tag_index[("petal", u, j + 1)]
-            self._advance(rest, j, u, u[j], next_tag, out)
-        else:  # tail
-            _, v, j = tag
-            if j < len(v):
-                self._advance(rest, j, v, v[j], self.tag_index[("tail", v, j + 1)], out)
-        out.sort()
-        return out
+            firsts = [("petal", u, 1) for u in _words(l, k)]
+            firsts += [("tail", v, 1) for t in range(1, k) for v in _words(l, t)]
+            return [(0, word_adj[0][nxt[1]], nxt[1][0], nxt) for nxt in firsts]
+        kind, u, j = tag
+        if j == len(u):  # the last tail copy
+            return []
+        nxt = ("base",) if kind == "petal" and j == k - 1 else (kind, u, j + 1)
+        return [(j, word_adj[j][u], u[j], nxt)]
 
-    def is_final(self, sid: int) -> bool:
-        space = self.space
-        tag_i = sid // space.base_size
-        tag = self.tags[tag_i]
+    def _accept(self, tag):
         if tag[0] == "base":
-            return self._tuple_final(sid)
-        if tag[0] == "tail":
-            _, v, j = tag
-            if j != len(v):
-                return False
-            for i in range(self.k):
-                q = space.component(sid, i)
-                if i < j:
-                    if q not in self._final_sets[i]:
-                        return False
-                elif q not in self.can_finish[i][v]:
-                    return False
-            return True
-        return False
-
-    def total_transitions(self) -> int:
-        base = self.space.base_size
-        total = 0
-        for u in _words(self.n_letters, self.k):
-            for i in range(self.k):
-                total += self.rel[i][u].count_ones() * (base // self.sizes[i])
-        for t in range(1, self.k):
-            for v in _words(self.n_letters, t):
-                for j in range(t):
-                    total += self.rel[j][v].count_ones() * (base // self.sizes[j])
-        return total
+            return self.finals
+        kind, v, j = tag
+        if kind == "petal" or j < len(v):
+            return None
+        return tuple(self.finals[i] if i < j else self.can_finish[i][v] for i in range(self.k))
 
 
-class _LeapfrogBuilder(_WordVolleyBuilder):
+class _LeapfrogBuilder(ProductBuilder):
+    """Components take turns jumping a whole k-letter window ahead.  An
+    initialization tree over words u of length <= k-2, in which component
+    |u| moves next, leads to the main copies ``("main", i, u)``: component
+    i moves next, and u holds the last k-1 letters read.  A copy accepts
+    when every component can finish reading the letters it still owes."""
+
     construction = "leapfrog"
 
-    def __init__(self, bundle: InstanceBundle):
-        super().__init__(bundle)
+    def _tags(self) -> list:
         k, l = self.k, self.n_letters
-        # tags: an initialization tree over words of length <= k-2 (component
-        # |u| is updated next), then main copies (behind component i, last
-        # k-1 letters u)
-        self.tags: List[tuple] = []
-        for t in range(k - 1):
-            for u in _words(l, t):
-                self.tags.append(("tree", u))
-        for i in range(k):
-            for u in _words(l, k - 1):
-                self.tags.append(("main", i, u))
-        self.tag_index = {tag: i for i, tag in enumerate(self.tags)}
-        self.space = ProductSpace(self.sizes, len(self.tags))
-        self.initial = self.space.encode(
-            [a.initial for a in bundle.automata], self.tag_index[("tree", ())]
-        )
+        tags = [("tree", u) for t in range(k - 1) for u in _words(l, t)]
+        return tags + [("main", i, u) for i in range(k) for u in _words(l, k - 1)]
 
-    def tag_value(self, tag_index: int):
-        return self.tags[tag_index]
-
-    def successors(self, sid: int) -> list:
-        space = self.space
-        tag_i, rest = divmod(sid, space.base_size)
-        tag = self.tags[tag_i]
-        out: list = []
-        k = self.k
-        if tag[0] == "tree":
-            u = tag[1]
-            t = len(u)
-            for letter in range(self.n_letters):
+    def _volleys(self, tag) -> list:
+        k, word_adj = self.k, self.word_adj
+        out = []
+        for letter in range(self.n_letters):
+            if tag[0] == "tree":
+                u = tag[1]
+                comp, word = len(u), u + (letter,)
+                nxt = ("tree", word) if comp < k - 2 else ("main", k - 1, word)
+            else:
+                _, comp, u = tag
                 word = u + (letter,)
-                if t < k - 2:
-                    nxt = self.tag_index[("tree", word)]
-                else:
-                    nxt = self.tag_index[("main", k - 1, word)]
-                self._advance(rest, t, word, letter, nxt, out)
-        else:
-            _, i, u = tag
-            for letter in range(self.n_letters):
-                word = u + (letter,)
-                nxt = self.tag_index[("main", (i + 1) % k, u[1:] + (letter,))]
-                self._advance(rest, i, word, letter, nxt, out)
-        out.sort()
+                nxt = ("main", (comp + 1) % k, word[1:])
+            out.append((comp, word_adj[comp][word], letter, nxt))
         return out
 
-    def is_final(self, sid: int) -> bool:
-        space = self.space
-        tag_i = sid // space.base_size
-        tag = self.tags[tag_i]
+    def _accept(self, tag):
+        k, can_finish = self.k, self.can_finish
         if tag[0] == "tree":
             u = tag[1]
-            t = len(u)
-            for j in range(self.k):
-                q = space.component(sid, j)
-                owed = u[j + 1:] if j < t else u
-                if q not in self.can_finish[j][owed]:
-                    return False
-            return True
+            return tuple(can_finish[j][u[j + 1:] if j < len(u) else u] for j in range(k))
         _, i, u = tag
-        k = self.k
-        for j in range(k):
-            q = space.component(sid, j)
-            owed_len = (i - 1 - j) % k
-            owed = u[len(u) - owed_len:] if owed_len else ()
-            if q not in self.can_finish[j][owed]:
-                return False
-        return True
-
-    def total_transitions(self) -> int:
-        base = self.space.base_size
-        total = 0
-        k, l = self.k, self.n_letters
-        for t in range(k - 1):
-            for u in _words(l, t):
-                for letter in range(l):
-                    total += self.rel[t][u + (letter,)].count_ones() * (base // self.sizes[t])
-        for i in range(k):
-            for u in _words(l, k - 1):
-                for letter in range(l):
-                    total += self.rel[i][u + (letter,)].count_ones() * (base // self.sizes[i])
-        return total
+        return tuple(can_finish[j][u[len(u) - (i - 1 - j) % k:]] for j in range(k))
 
 
 _BUILDERS = {
@@ -621,7 +515,14 @@ SIZE_BOUNDS = {
     "direct": lambda k, l, n, m, mk: (n ** k, m ** k),
     "nodding": lambda k, l, n, m, mk: ((k * l - l + 1) * n ** k, k * m * n ** (k - 1)),
     "echoing": lambda k, l, n, m, mk: ((k * l - l + 1) * n ** k, k * m * n ** (k - 1)),
-    "catchup": lambda k, l, n, m, mk: (2 * k * l ** k * n ** k, 2 * k * l ** k * mk * n ** (k - 1)),
+    # catch-up has 1 + (k-1) l^k + S copies and k l^k + S volleys of at most
+    # mk n^(k-1) transitions each, where S = sum over t < k of t l^t.  S is at
+    # most (k-1) l^k only for l >= 2; both counts grow with l, so at l = 1
+    # they stay below their values at l = 2, where the bound is evaluated.
+    "catchup": lambda k, l, n, m, mk: (
+        2 * k * max(l, 2) ** k * n ** k,
+        2 * k * max(l, 2) ** k * mk * n ** (k - 1),
+    ),
     "leapfrog": lambda k, l, n, m, mk: (2 * k * l ** (k - 1) * n ** k, 2 * k * l ** k * mk * n ** (k - 1)),
 }
 

@@ -217,6 +217,20 @@ def test_bench_dense_nodding_counts(capsys):
     assert int(row[7]) <= 2 * 3200 * 40
 
 
+def test_bench_one_letter_k4_within_bounds(capsys):
+    # catch-up at l = 1 has more volleys than 2k l^k (2430 transitions
+    # against 1944), within the bound only because it is taken at l = 2
+    args = [
+        "bench", "--k", "4", "-l", "1", "--n", "3", "--density", "1.0", "--seeds", "0",
+        "--constructions", "nodding,echoing,catchup,leapfrog,direct", "--no-timing",
+    ]
+    assert main(args) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[1] for row in rows] == ["nodding", "echoing", "catchup", "leapfrog", "direct"]
+    assert all(row[9] == "NONEMPTY" for row in rows)
+    assert rows[2][7] == "2430"
+
+
 def test_bench_workers_match_sequential(capsys):
     args = [
         "bench", "--k", "2", "--alphabet", "2", "--n", "3", "--density",

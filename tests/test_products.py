@@ -316,12 +316,35 @@ def test_leapfrog_language():
 # --- materialization consistency -------------------------------------------------
 
 def test_materialized_counts_match_builder_totals():
-    bundle = random_bundle(2, 3, 2, 0.6, "totals")
-    for construction in CONSTRUCTIONS:
-        builder = builder_for(construction, bundle)
-        product = materialize(construction, bundle)
-        assert product.n_states == builder.total_states()
-        assert product.m == builder.total_transitions()
+    # the totals are read off each construction's copy/volley table, so they
+    # must match the materialized product; successor lists come out sorted
+    # whether or not the builder sorts them
+    for k, l in itertools.product((2, 3, 4), (1, 2, 3)):
+        n = 3 if k * l <= 6 else 2
+        bundle = random_bundle(k, n, l, 0.6, ("totals", k, l))
+        for construction in CONSTRUCTIONS:
+            builder = builder_for(construction, bundle)
+            product = materialize(construction, bundle)
+            assert product.n_states == builder.total_states(), (k, l, construction)
+            assert product.m == builder.total_transitions(), (k, l, construction)
+            for sid in range(builder.total_states()):
+                successors = builder.successors(sid)
+                assert successors == sorted(successors), (k, l, construction, sid)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+@pytest.mark.parametrize("l", [1, 2])
+def test_totals_within_size_bounds(k, l):
+    # beyond the corpus's k <= 3; at l = 1 catch-up has more than 2k l^k
+    # copies from k = 4 on, so its bound is taken at max(l, 2)
+    for density in (0.5, 1.0):
+        bundle = random_bundle(k, 2, l, density, ("bounds", k, l, density))
+        n, m, mk = bundle.max_states, bundle.max_transitions, m_leq_k(bundle)
+        for construction in CONSTRUCTIONS:
+            builder = builder_for(construction, bundle)
+            states, transitions = SIZE_BOUNDS[construction](k, l, n, m, mk)
+            assert builder.total_states() <= states, construction
+            assert builder.total_transitions() <= transitions, construction
 
 
 def test_size_bounds_pinned_at_one_point():
@@ -334,6 +357,8 @@ def test_size_bounds_pinned_at_one_point():
         "leapfrog": (1536, 5376),  # 2k l^(k-1) n^k, 2k l^k m_leq_k n^(k-1)
     }
     assert {c: SIZE_BOUNDS[c](3, 2, 4, 5, 7) for c in CONSTRUCTIONS} == expected
+    # a one-letter alphabet evaluates the catch-up bound at l = 2
+    assert SIZE_BOUNDS["catchup"](3, 1, 4, 5, 7) == expected["catchup"]
 
 
 def test_materialize_budget():
