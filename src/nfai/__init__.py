@@ -64,7 +64,6 @@ from .oracle import (
 from .products import (
     CONSTRUCTIONS,
     BudgetExceeded,
-    ReachRelation,
     SparsityStats,
     accessible_part,
     accessible_stats,
@@ -74,7 +73,6 @@ from .products import (
     leapfrog_product,
     m_leq_k,
     nodding_product,
-    reach_relation,
 )
 from .relations import (
     MultiTapeAutomaton,

@@ -78,9 +78,6 @@ class BoolMatrix:
             out.append(acc)
         return BoolMatrix(self.rows, other.cols, tuple(out))
 
-    def __matmul__(self, other: "BoolMatrix") -> "BoolMatrix":
-        return self.mul(other)
-
     def le(self, other: "BoolMatrix") -> bool:
         """Entrywise <= (implication)."""
         return self.violating_entry(other) is None

@@ -2,9 +2,11 @@
 
 Non-emptiness is certified by a *short pathset*: one accepting run per
 component automaton, all spelling the same word, with the word no longer
-than n^k.  Emptiness is certified by a *staggered cut*: per (component,
-letter) subsets of the state-tuple space that contain the initial tuple,
-avoid all final tuples, and are closed under single-component moves.
+than n^k.  Each run is checked by ``automata.validate_run``, which also
+gives the word it spells.  Emptiness is certified by a *staggered cut*: per
+(component, letter) subsets of the state-tuple space that contain the
+initial tuple, avoid all final tuples, and are closed under
+single-component moves.
 
 The cut verifier never walks the product's transition relation.  Closure is
 the boolean matrix-product inequality ``Out . Δ <= In``, where Out and In
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
-from .automata import EPSILON, InstanceBundle, adjacency_matrix
+from .automata import EPSILON, InstanceBundle, RunViolation, run_is_accepting, validate_run
 from .boolmatrix import BoolMatrix
 from .decision import Decision
 from .products import BudgetExceeded, ProductSpace, builder_for, reachable, state_budget
@@ -135,8 +137,7 @@ def extract_short_pathset(bundle: InstanceBundle, decision: Decision) -> ShortPa
 
 
 def verify_short_pathset(bundle: InstanceBundle, ps: ShortPathset) -> Verdict:
-    """Check every pathset condition; transition membership is looked up in
-    per-letter adjacency matrices.
+    """Check every pathset condition, each run through ``validate_run``.
 
     Checked in order: run count, word-length bound, per-run structure
     (wrong-start / discontinuity / not-a-transition at (run, step)), label
@@ -148,30 +149,17 @@ def verify_short_pathset(bundle: InstanceBundle, ps: ShortPathset) -> Verdict:
     n = bundle.max_states
     if len(ps.word) > n ** k:
         return _reject("length-bound", len(ps.word))
-    matrices = [
-        [adjacency_matrix(a, letter) for letter in range(bundle.n_letters)]
-        for a in bundle.automata
-    ]
     for i, (a, run) in enumerate(zip(bundle.automata, ps.runs)):
-        previous_dst = a.initial
-        for j, (src, label, dst) in enumerate(run):
-            if j == 0 and src != a.initial:
-                return _reject("wrong-start", i, 0)
-            if j > 0 and src != previous_dst:
-                return _reject("discontinuity", i, j)
-            if not (0 <= label < bundle.n_letters and 0 <= src < a.n_states and 0 <= dst < a.n_states):
-                return _reject("not-a-transition", i, j)
-            if not matrices[i][label].get(src, dst):
-                return _reject("not-a-transition", i, j)
-            previous_dst = dst
-        spelled = tuple(label for (_, label, _) in run)
+        spelled = validate_run(a, run)
+        if isinstance(spelled, RunViolation):
+            return _reject(spelled.kind, i, spelled.step)
         if spelled != ps.word:
             length = min(len(spelled), len(ps.word))
             position = next(
                 (j for j in range(length) if spelled[j] != ps.word[j]), length
             )
             return _reject("label-mismatch", i, position)
-        if previous_dst not in a.finals:
+        if not run_is_accepting(a, run):
             return _reject("not-accepting", i)
     return ACCEPT
 
@@ -257,30 +245,19 @@ def build_in_out(bundle: InstanceBundle, cut: StaggeredCut) -> InOutMatrices:
     if not _cut_shape_ok(bundle, cut, space):
         raise ValueError("cut shape does not match the bundle")
     k, l = cut.k, cut.n_letters
-    sizes = cut.sizes
-
-    reduced_strides = []
-    for exposed in range(k):
-        strides = {}
-        acc = 1
-        for j in range(k):
-            if j == exposed:
-                continue
-            strides[j] = acc
-            acc *= sizes[j]
-        reduced_strides.append((strides, acc))
 
     def reshape(mask: int, exposed: int) -> BoolMatrix:
-        strides, n_rows = reduced_strides[exposed]
-        rows = [0] * n_rows
+        # the ProductSpace.first_entry layout: the components below the
+        # exposed one keep their strides, those above it shrink by n
+        stride, n = space.strides[exposed], space.sizes[exposed]
+        rows = [0] * (space.base_size // n)
         while mask:
             low = mask & -mask
             tid = low.bit_length() - 1
             mask ^= low
-            components, _ = space.decode(tid)
-            row = sum(components[j] * strides[j] for j in strides)
-            rows[row] |= 1 << components[exposed]
-        return BoolMatrix(n_rows, sizes[exposed], tuple(rows))
+            high, rest = divmod(tid, stride * n)
+            rows[high * stride + rest % stride] |= 1 << (rest // stride)
+        return BoolMatrix(len(rows), n, tuple(rows))
 
     in_mats = []
     out_mats = []

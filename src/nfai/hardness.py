@@ -162,6 +162,15 @@ def parse_graph(text: str) -> UndirectedGraph:
     """Graph text format: first line ``graph n``, then ``edge u v`` lines."""
     from .fileformat import FormatError
 
+    def ints(no: int, parts: list, usage: str, count: int) -> list:
+        """The ``count`` integer fields after a directive."""
+        if len(parts) == count + 1:
+            try:
+                return [int(x) for x in parts[1:]]
+            except ValueError:
+                pass
+        raise FormatError(f"{parts[0]!r} takes {usage}", no)
+
     n = None
     edges = []
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -172,15 +181,13 @@ def parse_graph(text: str) -> UndirectedGraph:
         if parts[0] == "graph":
             if n is not None:
                 raise FormatError("duplicate 'graph' line", no)
-            if len(parts) != 2:
-                raise FormatError("'graph' takes one vertex count", no)
-            n = int(parts[1])
+            (n,) = ints(no, parts, "one vertex count", 1)
+            if n < 0:
+                raise FormatError(f"negative vertex count {n}", no)
         elif parts[0] == "edge":
             if n is None:
                 raise FormatError("'edge' before 'graph' line", no)
-            if len(parts) != 3:
-                raise FormatError("'edge' takes two vertices", no)
-            u, v = int(parts[1]), int(parts[2])
+            u, v = ints(no, parts, "two vertices", 2)
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise FormatError(f"bad edge ({u}, {v})", no)
             edges.append((u, v))

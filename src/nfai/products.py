@@ -36,8 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
-from .automata import EPSILON, EpsilonNfa, InstanceBundle, Nfa, adjacency_matrix
-from .boolmatrix import BoolMatrix
+from .automata import EPSILON, EpsilonNfa, InstanceBundle, Nfa
 
 CONSTRUCTIONS = ("direct", "nodding", "echoing", "catchup", "leapfrog")
 
@@ -173,60 +172,51 @@ def _repeat(block: int, period: int, count: int) -> int:
         period *= 2
 
 
-@dataclass(frozen=True)
-class ReachRelation:
-    """Pairs of states joined by a path labelled by a fixed word."""
-
-    word: tuple
-    matrix: BoolMatrix
-
-
-def reach_relation(a: Nfa, word: Sequence) -> ReachRelation:
-    """Boolean product of the per-letter adjacency matrices of ``word``, in
-    order; the identity for the empty word."""
-    w = tuple(word)
-    matrix = BoolMatrix.identity(a.n_states)
-    for letter in w:
-        matrix = matrix.mul(adjacency_matrix(a, letter))
-    return ReachRelation(w, matrix)
-
-
-def reach_map(a: Nfa, max_len: int) -> Dict[tuple, BoolMatrix]:
-    """Reachability matrices for every word of length <= max_len, computed by
-    extending shorter words one letter at a time."""
-    letters = [adjacency_matrix(a, s) for s in range(a.n_letters)]
-    table: Dict[tuple, BoolMatrix] = {(): BoolMatrix.identity(a.n_states)}
-    frontier = [()]
+def reach_map(a: Nfa, max_len: int) -> Dict[tuple, tuple]:
+    """Word reachability as rows of bitmasks, for every word u of length <=
+    max_len: bit d of ``table[u][q]`` is set iff reading u leads from state q
+    to state d.  The empty word gives the identity rows; row q of ``(s,) +
+    u`` is the OR of the rows of u at the successors of q on s."""
+    n = a.n_states
+    table = {(): tuple(1 << q for q in range(n))}
+    layer = [()]
     for _ in range(max_len):
-        nxt = []
-        for u in frontier:
-            base = table[u]
-            for s in range(a.n_letters):
-                table[u + (s,)] = base.mul(letters[s])
-                nxt.append(u + (s,))
-        frontier = nxt
+        longer = []
+        for s in range(a.n_letters):
+            moves = [(q, dsts) for q in range(n) if (dsts := a.successors(q, s))]
+            for u in layer:
+                rows = table[u]
+                out = [0] * n
+                for q, dsts in moves:
+                    row = 0
+                    for d in dsts:
+                        row |= rows[d]
+                    out[q] = row
+                table[(s,) + u] = tuple(out)
+                longer.append((s,) + u)
+        layer = longer
     return table
 
 
-def m_leq_k(bundle: InstanceBundle, depth: Optional[int] = None) -> int:
+def m_leq_k(bundle: InstanceBundle) -> int:
     """Largest word-reachability relation over all components and words of
-    length <= depth (default: the bundle's k).  Never exceeds n^2."""
-    depth = bundle.k if depth is None else depth
-    best = 0
-    for a in bundle.automata:
-        for matrix in reach_map(a, depth).values():
-            best = max(best, matrix.count_ones())
-    return best
+    length <= k: the most set bits in the rows of one ``reach_map`` entry.
+    Never exceeds n^2.  One component's table is held at a time."""
+    return max(
+        max(sum(map(int.bit_count, rows)) for rows in reach_map(a, bundle.k).values())
+        for a in bundle.automata
+    )
 
 
 def _words(n_letters: int, length: int):
     return itertools.product(range(n_letters), repeat=length)
 
 
-def _adjacency_lists(matrix: BoolMatrix) -> tuple:
-    """Per-source sorted successor tuples of a reachability matrix."""
+def _adjacency_lists(rows: tuple) -> tuple:
+    """Per-source sorted successor tuples of a relation given as rows of
+    bitmasks."""
     out = []
-    for r in matrix.row_bits:
+    for r in rows:
         dsts = []
         while r:
             low = r & -r
@@ -304,7 +294,7 @@ class ProductBuilder:
         """word_adj[i][u][q]: the states component i reaches from q reading
         the word u, for every u of length <= k."""
         return [
-            {u: _adjacency_lists(matrix) for u, matrix in reach_map(a, self.k).items()}
+            {u: _adjacency_lists(rows) for u, rows in reach_map(a, self.k).items()}
             for a in self.bundle.automata
         ]
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from nfai.automata import InstanceBundle, Nfa, adjacency_matrix, validate_run
+from nfai.automata import EPSILON, InstanceBundle, Nfa, adjacency_matrix, validate_run
 from nfai.certificates import (
     ACCEPT,
     ShortPathset,
@@ -134,6 +134,11 @@ def test_pathset_structure_conditions():
     not_accepting = ((good_a[0],), (good_b[0],))
     verdict = verify_short_pathset(bundle, ShortPathset((0,), not_accepting))
     assert verdict.condition == "not-accepting" and verdict.where == (0,)
+
+    # an epsilon label is never a transition of a component NFA
+    epsilon_step = (((0, 0, 1), (1, EPSILON, 2)), good_b)
+    verdict = verify_short_pathset(bundle, ShortPathset(word, epsilon_step))
+    assert verdict.condition == "not-a-transition" and verdict.where == (0, 1)
 
 
 def test_pathset_length_bound():

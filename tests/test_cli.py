@@ -124,6 +124,22 @@ def test_gen_clique_from_graph_file(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "NONEMPTY 0 1 3 4"
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [("graph x\n", 1), ("graph 3\nedge 1 y\n", 2), ("# vertices\ngraph -3\n", 2)],
+    ids=["graph-x", "edge-y", "graph-negative"],
+)
+def test_gen_clique_malformed_graph_file(tmp_path, capsys, text, line):
+    graph_file = tmp_path / "bad.graph"
+    graph_file.write_text(text)
+    out = tmp_path / "bundle.nfa"
+    assert main(["gen", "clique", "--graph", str(graph_file), "--k", "4", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: line {line}: ")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_gen_clique_random_graph(tmp_path):
     out1 = tmp_path / "b1.nfa"
     out2 = tmp_path / "b2.nfa"

@@ -24,9 +24,10 @@ from nfai.products import (
     materialize,
     nodding_product,
     reach_map,
-    reach_relation,
     stats_csv_row,
 )
+
+from helpers import acceptance_corpus, all_words
 
 
 def small_bundles(count, k=2, n=3, l=2):
@@ -93,20 +94,34 @@ def test_space_masks_match_tuple_by_tuple_reference(sizes, data):
 
 # --- reachability relations ----------------------------------------------------
 
+def reference_relation(a, word):
+    """Boolean product of the per-letter adjacency matrices of ``word``, in
+    order; the identity for the empty word."""
+    matrix = BoolMatrix.identity(a.n_states)
+    for letter in word:
+        matrix = matrix.mul(adjacency_matrix(a, letter))
+    return matrix
+
+
+def relation_of(a, word):
+    """The ``reach_map`` rows of ``word`` as a matrix."""
+    return BoolMatrix(a.n_states, a.n_states, reach_map(a, len(word))[tuple(word)])
+
+
 def test_reach_relation_empty_word_is_identity():
     a = random_nfa(4, 2, 0.5, "reach")
-    assert reach_relation(a, ()).matrix == BoolMatrix.identity(4)
+    assert reach_map(a, 0) == {(): (1, 2, 4, 8)}
+    assert relation_of(a, ()) == BoolMatrix.identity(4)
 
 
 def test_reach_relation_single_letter_is_adjacency():
     a = random_nfa(4, 2, 0.5, "reach1")
-    assert reach_relation(a, (1,)).matrix == adjacency_matrix(a, 1)
+    assert relation_of(a, (1,)) == adjacency_matrix(a, 1)
 
 
 def test_reach_relation_chain():
     chain = Nfa(3, 2, ((0, 0, 1), (1, 1, 2)), 0, frozenset({2}))
-    mat = reach_relation(chain, (0, 1)).matrix
-    assert set(mat.pairs()) == {(0, 2)}
+    assert reach_map(chain, 2)[(0, 1)] == (0b100, 0, 0)
 
 
 @given(st.integers(0, 50), st.integers(1, 3), st.integers(0, 3))
@@ -114,20 +129,39 @@ def test_reach_relation_composes(seed, split, extra):
     a = random_nfa(4, 2, 0.5, ("compose", seed))
     u = tuple((seed + i) % 2 for i in range(split))
     v = tuple((seed + i) % 2 for i in range(extra))
-    combined = reach_relation(a, u + v).matrix
-    assert combined == reach_relation(a, u).matrix.mul(reach_relation(a, v).matrix)
+    combined = relation_of(a, u + v)
+    assert combined == relation_of(a, u).mul(relation_of(a, v))
+    assert combined == reference_relation(a, u + v)
 
 
 def test_reach_map_consistent_with_reach_relation():
     a = random_nfa(3, 2, 0.7, "reachmap")
     table = reach_map(a, 3)
-    for word, matrix in table.items():
-        assert matrix == reach_relation(a, word).matrix
+    assert sorted(table) == sorted(all_words(2, 3))
+    for word, rows in table.items():
+        assert rows == reference_relation(a, word).row_bits
 
 
 def test_m_leq_k_bounded_by_n_squared():
     for bundle in small_bundles(3):
         assert m_leq_k(bundle) <= bundle.max_states ** 2
+
+
+def test_m_leq_k_matches_subset_simulation_on_corpus():
+    """m_leq_k against a brute force: per component and word of length <= k,
+    count the pairs (p, q) with q reached from p by subset simulation."""
+    for _, bundle in acceptance_corpus():
+        best = 0
+        for a in bundle.automata:
+            for word in all_words(bundle.n_letters, bundle.k):
+                pairs = 0
+                for p in range(a.n_states):
+                    current = {p}
+                    for letter in word:
+                        current = {d for q in current for d in a.successors(q, letter)}
+                    pairs += len(current)
+                best = max(best, pairs)
+        assert m_leq_k(bundle) == best
 
 
 # --- direct product -----------------------------------------------------------
