@@ -67,12 +67,7 @@ from .products import (
     SparsityStats,
     accessible_part,
     accessible_stats,
-    catchup_product,
-    direct_product,
-    echoing_product,
-    leapfrog_product,
     m_leq_k,
-    nodding_product,
 )
 from .relations import (
     MultiTapeAutomaton,

@@ -265,3 +265,9 @@ class InstanceBundle:
     @property
     def max_transitions(self) -> int:
         return max(a.m for a in self.automata)
+
+    @cached_property
+    def prepared(self):
+        """The bundle's tables, built once each: see ``products.PreparedBundle``."""
+        from .products import PreparedBundle
+        return PreparedBundle(self)

@@ -12,12 +12,12 @@ The cut verifier never walks the product's transition relation.  Closure is
 the boolean matrix-product inequality ``Out . Δ <= In``, where Out and In
 expose one tuple component of a subset as columns and Δ is that component's
 adjacency matrix.  The verifier computes the product column by column on the
-packed subset itself: one column is one masked shift of the bitmask, so a
-check costs O(k.l.(n+m)) big-int operations, not one Python step per member,
-which is what makes verification cheaper than re-deciding the instance.
-``build_in_out`` still materializes the matrices for tests and inspection.
-A naive verifier that does scan product transitions is kept as a test
-oracle.
+packed subset itself, one masked shift per state that has a move, reading
+the tuple space, final mask and letter adjacency from ``bundle.prepared``:
+a check costs O(k.(l+m)) big-int operations, not one Python step per member.
+Extraction, verification and serialisation check a cut's tuple space
+against the state budget first.  ``build_in_out`` materializes the matrices
+for tests; a naive verifier that scans product transitions is a test oracle.
 
 Verdicts are structured (condition id plus coordinates), never bare
 booleans, so tests can assert exactly which condition a mutation violates.
@@ -31,7 +31,7 @@ from typing import List, Optional, Union
 from .automata import EPSILON, InstanceBundle, RunViolation, run_is_accepting, validate_run
 from .boolmatrix import BoolMatrix
 from .decision import Decision
-from .products import BudgetExceeded, ProductSpace, builder_for, reachable, state_budget
+from .products import ProductSpace, builder_for, reachable
 
 CERT_MAGIC = "nfa-cert v1"
 
@@ -164,19 +164,6 @@ def verify_short_pathset(bundle: InstanceBundle, ps: ShortPathset) -> Verdict:
     return ACCEPT
 
 
-def _tuple_space(bundle: InstanceBundle) -> ProductSpace:
-    return ProductSpace(tuple(a.n_states for a in bundle.automata), 1)
-
-
-def _check_tuple_budget(space: ProductSpace) -> None:
-    """Raise BudgetExceeded before any mask over a too large tuple space."""
-    limit = state_budget()
-    if space.base_size > limit:
-        raise BudgetExceeded(
-            f"cut tuple space has {space.base_size} tuples, over the state budget of {limit}"
-        )
-
-
 def extract_staggered_cut(bundle: InstanceBundle) -> StaggeredCut:
     """Collect the reachable copies of the nodding product into a cut.
 
@@ -184,12 +171,10 @@ def extract_staggered_cut(bundle: InstanceBundle) -> StaggeredCut:
     reachable in the (letter, volley i) copy become subset (i, letter).
     Raises if the instance turns out to be non-empty (no cut exists then).
     """
+    bundle.prepared.space.check_tuple_budget()
     builder = builder_for("nodding", bundle)
-    space = builder.space
-    _check_tuple_budget(space)
-    base_size = space.base_size
-    k, l = bundle.k, bundle.n_letters
-    masks = [0] * space.n_tags
+    k, l, base_size = bundle.k, bundle.n_letters, builder.space.base_size
+    masks = [0] * builder.space.n_tags
     for sid, _ in reachable(builder):
         if builder.is_final(sid):
             raise ValueError("intersection is non-empty; no staggered cut exists")
@@ -199,17 +184,16 @@ def extract_staggered_cut(bundle: InstanceBundle) -> StaggeredCut:
     return StaggeredCut(l, builder.sizes, tuple([masks[0]] * l + volleys))
 
 
-def _cut_shape_ok(bundle: InstanceBundle, cut: StaggeredCut, space: ProductSpace) -> bool:
-    if cut.sizes != space.sizes:
-        return False
-    if cut.n_letters != bundle.n_letters:
+def _cut_shape_ok(bundle: InstanceBundle, cut: StaggeredCut) -> bool:
+    space = bundle.prepared.space
+    if cut.sizes != space.sizes or cut.n_letters != bundle.n_letters:
         return False
     if len(cut.sets) != cut.k * cut.n_letters:
         return False
     return all(mask >= 0 and mask.bit_length() <= space.base_size for mask in cut.sets)
 
 
-def _check_cut_basics(bundle: InstanceBundle, cut: StaggeredCut, space: ProductSpace) -> Optional[Verdict]:
+def _check_cut_basics(bundle: InstanceBundle, cut: StaggeredCut) -> Optional[Verdict]:
     """Conditions shared by both verifiers: shape, base-copy agreement,
     initial membership, final exclusion.  None means all hold.
 
@@ -218,17 +202,18 @@ def _check_cut_basics(bundle: InstanceBundle, cut: StaggeredCut, space: ProductS
 
     Raises BudgetExceeded before allocating any mask over a tuple space
     larger than the state budget."""
-    if not _cut_shape_ok(bundle, cut, space):
+    if not _cut_shape_ok(bundle, cut):
         return _reject("shape")
-    _check_tuple_budget(space)
-    initial = space.encode([a.initial for a in bundle.automata])
+    prepared = bundle.prepared
+    prepared.space.check_tuple_budget()
+    initial = prepared.initial
     base = cut.set_for(0, 0) if cut.n_letters else 1 << initial
     for letter in range(1, cut.n_letters):
         if cut.set_for(0, letter) != base:
             return _reject("base-copy-mismatch", letter)
     if not (base >> initial) & 1:
         return _reject("initial-missing", initial)
-    offending = base & space.product_mask([a.finals for a in bundle.automata])
+    offending = base & prepared.final_mask
     if offending:
         return _reject("final-present", (offending & -offending).bit_length() - 1)
     return None
@@ -241,9 +226,9 @@ def build_in_out(bundle: InstanceBundle, cut: StaggeredCut) -> InOutMatrices:
     order, lowest index least significant); columns enumerate the exposed
     component.  Each set bit of the cut is touched twice.
     """
-    space = _tuple_space(bundle)
-    if not _cut_shape_ok(bundle, cut, space):
+    if not _cut_shape_ok(bundle, cut):
         raise ValueError("cut shape does not match the bundle")
+    space = bundle.prepared.space
     k, l = cut.k, cut.n_letters
 
     def reshape(mask: int, exposed: int) -> BoolMatrix:
@@ -282,16 +267,14 @@ def verify_staggered_cut(bundle: InstanceBundle, cut: StaggeredCut) -> Verdict:
     ``In[p+1 mod k, letter]`` in row-major order: col is component p, row
     the other components in mixed radix.
     """
-    space = _tuple_space(bundle)
-    basic = _check_cut_basics(bundle, cut, space)
+    basic = _check_cut_basics(bundle, cut)
     if basic is not None:
         return basic
-    k = cut.k
-    for p, automaton in enumerate(bundle.automata):
-        for letter in range(cut.n_letters):
-            targets = [automaton.successors(q, letter) for q in range(automaton.n_states)]
+    space = bundle.prepared.space
+    for p, letters in enumerate(bundle.prepared.letters):
+        for letter, targets in enumerate(letters):
             moved = space.move(cut.set_for(p, letter), p, targets)
-            violation = moved & ~cut.set_for((p + 1) % k, letter)
+            violation = moved & ~cut.set_for((p + 1) % cut.k, letter)
             if violation:
                 return _reject("closure", p, letter, *space.first_entry(violation, p))
     return ACCEPT
@@ -302,10 +285,10 @@ def verify_staggered_cut_naive(bundle: InstanceBundle, cut: StaggeredCut) -> Ver
     tuple, every move of the active component.  Slow but independent of the
     packed product; kept as the oracle the fast verifier is tested against.
     """
-    space = _tuple_space(bundle)
-    basic = _check_cut_basics(bundle, cut, space)
+    basic = _check_cut_basics(bundle, cut)
     if basic is not None:
         return basic
+    space = bundle.prepared.space
     k, l = cut.k, cut.n_letters
     for p in range(k):
         automaton = bundle.automata[p]
@@ -348,9 +331,9 @@ def serialize_certificate(cert: Union[ShortPathset, StaggeredCut]) -> str:
             for (src, label, dst) in run:
                 lines.append(f"step {src} {label} {dst}")
     elif isinstance(cert, StaggeredCut):
-        n_bits = 1
-        for n in cert.sizes:
-            n_bits *= n
+        space = ProductSpace(cert.sizes, 1)
+        space.check_tuple_budget()
+        n_bits = space.base_size
         lines.append("cut")
         lines.append(f"k {cert.k}")
         lines.append(f"alphabet {cert.n_letters}")

@@ -5,7 +5,7 @@ Subcommands: ``product``, ``decide``, ``certify``, ``verify``, ``gen``,
 affirmative answer (non-empty / valid / satisfiable / success), 1 for the
 negative one, 2 for usage or input errors.  All randomized commands take
 explicit seeds; nothing draws ambient entropy.  The environment variable
-``NFAI_STATE_BUDGET`` overrides the product materialization budget.
+``NFAI_STATE_BUDGET`` caps product states explored and cut tuple spaces.
 """
 
 from __future__ import annotations

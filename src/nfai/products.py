@@ -121,10 +121,16 @@ class ProductSpace:
             mask &= column
         return mask
 
-    def move(self, mask: int, i: int, targets: Sequence[Sequence[int]]) -> int:
+    def check_tuple_budget(self) -> None:
+        """Raise BudgetExceeded before any mask over more tuples than the budget."""
+        if self.base_size > (limit := state_budget()):
+            raise BudgetExceeded(
+                f"cut tuple space has {self.base_size} tuples, over the state budget of {limit}")
+
+    def move(self, mask: int, i: int, targets: Dict[int, Sequence[int]]) -> int:
         """Tuples reached from the set ``mask`` by moving component i from
         each state q to every state of ``targets[q]``, the other components
-        fixed.
+        fixed; only the states keyed in ``targets`` are visited.
 
         This is the boolean product Out . Δ of the matrix exposing component
         i with the move relation Δ, computed one column at a time: column q
@@ -134,12 +140,11 @@ class ProductSpace:
         stride = self.strides[i]
         zero = self.zero_masks[i]
         moved = 0
-        for q, dsts in enumerate(targets):
-            if dsts:
-                column = (mask >> (q * stride)) & zero
-                if column:
-                    for d in dsts:
-                        moved |= column << (d * stride)
+        for q, dsts in targets.items():
+            column = (mask >> (q * stride)) & zero
+            if column:
+                for d in dsts:
+                    moved |= column << (d * stride)
         return moved
 
     def first_entry(self, mask: int, i: int) -> Tuple[int, int]:
@@ -172,27 +177,38 @@ def _repeat(block: int, period: int, count: int) -> int:
         period *= 2
 
 
-def reach_map(a: Nfa, max_len: int) -> Dict[tuple, tuple]:
-    """Word reachability as rows of bitmasks, for every word u of length <=
-    max_len: bit d of ``table[u][q]`` is set iff reading u leads from state q
-    to state d.  The empty word gives the identity rows; row q of ``(s,) +
-    u`` is the OR of the rows of u at the successors of q on s."""
-    n = a.n_states
-    table = {(): tuple(1 << q for q in range(n))}
-    layer = [()]
-    for _ in range(max_len):
+def _by_letter(a: Nfa) -> tuple:
+    """Per letter s, ``{q: successors of q on s}`` for the states q that move."""
+    lists = tuple({} for _ in range(a.n_letters))
+    for (q, s), dsts in a.adjacency.items():
+        lists[s][q] = dsts
+    return lists
+
+
+def reach_map(a: Nfa, max_len: int) -> Dict[tuple, dict]:
+    """Word reachability as sparse rows of bitmasks, for every word u with
+    1 <= |u| <= max_len: ``table[u]`` maps each state q that u leads
+    somewhere from to the mask with bit d set iff u leads from q to d; row q
+    of ``(s,) + u`` ORs u's rows at the successors of q on s.  No identity
+    rows for the empty word: the cost follows the transitions, not n."""
+    letters = _by_letter(a)
+    table = {(s,): {q: sum(1 << d for d in dsts) for q, dsts in moves.items()}
+             for s, moves in enumerate(letters)} if max_len else {}
+    layer = list(table)
+    for _ in range(max_len - 1):
         longer = []
-        for s in range(a.n_letters):
-            moves = [(q, dsts) for q in range(n) if (dsts := a.successors(q, s))]
+        for s, moves in enumerate(letters):
             for u in layer:
                 rows = table[u]
-                out = [0] * n
-                for q, dsts in moves:
-                    row = 0
-                    for d in dsts:
-                        row |= rows[d]
-                    out[q] = row
-                table[(s,) + u] = tuple(out)
+                out = {}
+                if rows:
+                    for q, dsts in moves.items():
+                        row = 0
+                        for d in dsts:
+                            row |= rows.get(d, 0)
+                        if row:
+                            out[q] = row
+                table[(s,) + u] = out
                 longer.append((s,) + u)
         layer = longer
     return table
@@ -200,30 +216,66 @@ def reach_map(a: Nfa, max_len: int) -> Dict[tuple, tuple]:
 
 def m_leq_k(bundle: InstanceBundle) -> int:
     """Largest word-reachability relation over all components and words of
-    length <= k: the most set bits in the rows of one ``reach_map`` entry.
-    Never exceeds n^2.  One component's table is held at a time."""
-    return max(
-        max(sum(map(int.bit_count, rows)) for rows in reach_map(a, bundle.k).values())
-        for a in bundle.automata
-    )
+    length <= k, as a count of (source, target) pairs; never exceeds n^2.
+    The empty word's n pairs are counted, not built, and one component's
+    ``reach_map`` is held at a time.  Cached on the bundle."""
+    return bundle.prepared.m_leq_k
 
 
 def _words(n_letters: int, length: int):
     return itertools.product(range(n_letters), repeat=length)
 
 
-def _adjacency_lists(rows: tuple) -> tuple:
-    """Per-source sorted successor tuples of a relation given as rows of
-    bitmasks."""
+def _bits(row: int) -> tuple:
+    """The positions of the set bits of ``row``, ascending."""
     out = []
-    for r in rows:
-        dsts = []
-        while r:
-            low = r & -r
-            dsts.append(low.bit_length() - 1)
-            r ^= low
-        out.append(tuple(dsts))
+    while row:
+        low = row & -row
+        out.append(low.bit_length() - 1)
+        row ^= low
     return tuple(out)
+
+
+class PreparedBundle:
+    """Per-bundle tables for the builders, the decision, the cut extraction
+    and both cut verifiers, kept as ``InstanceBundle.prepared``, each built on
+    first use and keyed only by states that move, so they cost what the
+    transitions cost, not what n does.  The state budget is never cached."""
+
+    def __init__(self, bundle: InstanceBundle):
+        self.bundle = bundle
+        self.space = ProductSpace([a.n_states for a in bundle.automata], 1)  # one copy
+        self.initial = self.space.encode([a.initial for a in bundle.automata])
+
+    @cached_property
+    def final_mask(self) -> int:
+        """The final tuples; check the tuple budget before first use."""
+        return self.space.product_mask([a.finals for a in self.bundle.automata])
+
+    @cached_property
+    def letters(self) -> tuple:
+        """letters[i][s]: ``{q: successors of q on s}`` in component i."""
+        return tuple(_by_letter(a) for a in self.bundle.automata)
+
+    @cached_property
+    def words(self) -> tuple:
+        """words[i][u]: ``{q: states reached from q reading u}`` in component
+        i, for 1 <= |u| <= k; the length-1 entries are ``letters``."""
+        return tuple(
+            {u: letters[u[0]] if len(u) == 1 else {q: _bits(row) for q, row in rows.items()}
+             for u, rows in reach_map(a, self.bundle.k).items()}
+            for a, letters in zip(self.bundle.automata, self.letters)
+        )
+
+    @cached_property
+    def m_leq_k(self) -> int:
+        """See :func:`m_leq_k`."""
+        k, most = self.bundle.k, 0
+        for a in self.bundle.automata:  # each table is dropped before the next is built
+            largest = max((sum(map(int.bit_count, rows.values())) for rows in reach_map(a, k).values()),
+                          default=0)
+            most = max(most, a.n_states, largest)
+        return most
 
 
 class ProductBuilder:
@@ -235,10 +287,10 @@ class ProductBuilder:
     significant digit of a state id, and copy 0 holds the initial tuple.
     ``moves[t]`` lists the volleys that leave copy t, each as ``(component,
     lists, label, next_tag)``: reading ``label``, the component moves from
-    state q to every state of ``lists[q]``, the other components stay, and
-    the tuple lands in copy ``next_tag``.  ``accept[t]`` gives, per
-    component, the states a final tuple of copy t needs, or None if the copy
-    holds no final state.
+    state q to every state of ``lists[q]`` (a dict from the prepared bundle,
+    holding only the states that move), the other components stay, and the
+    tuple lands in copy ``next_tag``.  ``accept[t]`` gives, per component, the states a final
+    tuple of copy t needs, or None if the copy holds no final state.
 
     Subclasses describe their copies through ``_tags``, ``_volleys`` and
     ``_accept``; successors (label ascending, then target id), finality and
@@ -250,20 +302,15 @@ class ProductBuilder:
     epsilon = False
 
     def __init__(self, bundle: InstanceBundle):
-        self.bundle = bundle
+        self.prepared = bundle.prepared
         self.k = bundle.k
         self.n_letters = bundle.n_letters
-        self.sizes = tuple(a.n_states for a in bundle.automata)
+        self.sizes = self.prepared.space.sizes
         self.finals = tuple(a.finals for a in bundle.automata)
-        # adj[i][letter][q]: successors of state q of component i
-        self.adj = [
-            [[a.successors(q, s) for q in range(a.n_states)] for s in range(self.n_letters)]
-            for a in bundle.automata
-        ]
         self.tags = self._tags()
         self.tag_index = {tag: i for i, tag in enumerate(self.tags)}
         self.space = ProductSpace(self.sizes, len(self.tags))
-        self.initial = self.space.encode([a.initial for a in bundle.automata])
+        self.initial = self.prepared.initial  # copy 0 starts the id space
         self.moves = [
             [(comp, lists, label, self.tag_index[nxt]) for comp, lists, label, nxt in self._volleys(tag)]
             for tag in self.tags
@@ -289,24 +336,12 @@ class ProductBuilder:
         None if the copy holds no final state."""
         return self.finals
 
-    @cached_property
-    def word_adj(self) -> list:
-        """word_adj[i][u][q]: the states component i reaches from q reading
-        the word u, for every u of length <= k."""
-        return [
-            {u: _adjacency_lists(rows) for u, rows in reach_map(a, self.k).items()}
-            for a in self.bundle.automata
-        ]
-
-    @cached_property
-    def can_finish(self) -> list:
-        """can_finish[i][u]: the states of component i that reach a final
-        state reading u."""
-        return [
-            {u: frozenset(q for q, dsts in enumerate(lists) if not finals.isdisjoint(dsts))
-             for u, lists in table.items()}
-            for table, finals in zip(self.word_adj, self.finals)
-        ]
+    def _can_finish(self, i: int, u: tuple) -> frozenset:
+        """The states of component i that reach a final state reading u."""
+        finals = self.finals[i]
+        if not u:
+            return finals
+        return frozenset(q for q, dsts in self.prepared.words[i][u].items() if not finals.isdisjoint(dsts))
 
     def successors(self, sid: int) -> list:
         space = self.space
@@ -316,9 +351,10 @@ class ProductBuilder:
         for comp, lists, label, nxt in self.moves[tag]:
             stride = space.strides[comp]
             q = rest // stride % self.sizes[comp]
-            offset = nxt * base + rest - q * stride
-            for dst in lists[q]:
-                out.append((label, offset + dst * stride))
+            if q in lists:
+                offset = nxt * base + rest - q * stride
+                for dst in lists[q]:
+                    out.append((label, offset + dst * stride))
         if self._needs_sort[tag]:
             out.sort()
         return out
@@ -342,7 +378,7 @@ class ProductBuilder:
         # lists for each of the base_size / n_i settings of the others
         base = self.space.base_size
         return sum(
-            sum(map(len, lists)) * (base // self.sizes[comp])
+            sum(map(len, lists.values())) * (base // self.sizes[comp])
             for moves in self.moves
             for comp, lists, _, _ in moves
         )
@@ -360,9 +396,10 @@ class _DirectBuilder(ProductBuilder):
     def successors(self, sid: int) -> list:
         space = self.space
         comps = [space.component(sid, i) for i in range(self.k)]
+        letters = self.prepared.letters
         out = []
         for letter in range(self.n_letters):
-            lists = [self.adj[i][letter][comps[i]] for i in range(self.k)]
+            lists = [letters[i][letter].get(comps[i], ()) for i in range(self.k)]
             for targets in itertools.product(*lists):
                 out.append((letter, space.encode(targets)))
         out.sort()
@@ -370,7 +407,7 @@ class _DirectBuilder(ProductBuilder):
 
     def total_transitions(self) -> int:
         return sum(
-            math.prod(sum(map(len, lists[letter])) for lists in self.adj)
+            math.prod(sum(map(len, lists[letter].values())) for lists in self.prepared.letters)
             for letter in range(self.n_letters)
         )
 
@@ -389,10 +426,10 @@ class _NoddingBuilder(ProductBuilder):
 
     def _volleys(self, tag) -> list:
         if tag == "base":
-            return [(0, self.adj[0][s], s, (s, 1)) for s in range(self.n_letters)]
+            return [(0, lists, s, (s, 1)) for s, lists in enumerate(self.prepared.letters[0])]
         letter, j = tag
         label = EPSILON if self.epsilon else letter
-        return [(j, self.adj[j][letter], label, (letter, j + 1) if j < self.k - 1 else "base")]
+        return [(j, self.prepared.letters[j][letter], label, (letter, j + 1) if j < self.k - 1 else "base")]
 
     def _accept(self, tag):
         return self.finals if tag == "base" else None
@@ -423,16 +460,16 @@ class _CatchupBuilder(ProductBuilder):
         return tags
 
     def _volleys(self, tag) -> list:
-        k, l, word_adj = self.k, self.n_letters, self.word_adj
+        k, l, words = self.k, self.n_letters, self.prepared.words
         if tag[0] == "base":
             firsts = [("petal", u, 1) for u in _words(l, k)]
             firsts += [("tail", v, 1) for t in range(1, k) for v in _words(l, t)]
-            return [(0, word_adj[0][nxt[1]], nxt[1][0], nxt) for nxt in firsts]
+            return [(0, words[0][nxt[1]], nxt[1][0], nxt) for nxt in firsts]
         kind, u, j = tag
         if j == len(u):  # the last tail copy
             return []
         nxt = ("base",) if kind == "petal" and j == k - 1 else (kind, u, j + 1)
-        return [(j, word_adj[j][u], u[j], nxt)]
+        return [(j, words[j][u], u[j], nxt)]
 
     def _accept(self, tag):
         if tag[0] == "base":
@@ -440,7 +477,7 @@ class _CatchupBuilder(ProductBuilder):
         kind, v, j = tag
         if kind == "petal" or j < len(v):
             return None
-        return tuple(self.finals[i] if i < j else self.can_finish[i][v] for i in range(self.k))
+        return tuple(self.finals[i] if i < j else self._can_finish(i, v) for i in range(self.k))
 
 
 class _LeapfrogBuilder(ProductBuilder):
@@ -458,7 +495,7 @@ class _LeapfrogBuilder(ProductBuilder):
         return tags + [("main", i, u) for i in range(k) for u in _words(l, k - 1)]
 
     def _volleys(self, tag) -> list:
-        k, word_adj = self.k, self.word_adj
+        k, words = self.k, self.prepared.words
         out = []
         for letter in range(self.n_letters):
             if tag[0] == "tree":
@@ -469,16 +506,16 @@ class _LeapfrogBuilder(ProductBuilder):
                 _, comp, u = tag
                 word = u + (letter,)
                 nxt = ("main", (comp + 1) % k, word[1:])
-            out.append((comp, word_adj[comp][word], letter, nxt))
+            out.append((comp, words[comp][word], letter, nxt))
         return out
 
     def _accept(self, tag):
-        k, can_finish = self.k, self.can_finish
+        k, can_finish = self.k, self._can_finish
         if tag[0] == "tree":
             u = tag[1]
-            return tuple(can_finish[j][u[j + 1:] if j < len(u) else u] for j in range(k))
+            return tuple(can_finish(j, u[j + 1:] if j < len(u) else u) for j in range(k))
         _, i, u = tag
-        return tuple(can_finish[j][u[len(u) - (i - 1 - j) % k:]] for j in range(k))
+        return tuple(can_finish(j, u[len(u) - (i - 1 - j) % k:]) for j in range(k))
 
 
 _BUILDERS = {
@@ -544,7 +581,8 @@ def stats_csv_row(stats: SparsityStats) -> str:
     )
 
 
-def _materialize(builder: ProductBuilder, budget: Optional[int]) -> Union[Nfa, EpsilonNfa]:
+def materialize(construction: str, bundle: InstanceBundle, budget: Optional[int] = None):
+    builder = builder_for(construction, bundle)
     total = builder.total_states()
     limit = state_budget(budget)
     if total > limit:
@@ -558,30 +596,6 @@ def _materialize(builder: ProductBuilder, budget: Optional[int]) -> Union[Nfa, E
     finals = frozenset(sid for sid in range(total) if builder.is_final(sid))
     cls = EpsilonNfa if builder.epsilon else Nfa
     return cls(total, builder.n_letters, tuple(transitions), builder.initial, finals)
-
-
-def materialize(construction: str, bundle: InstanceBundle, budget: Optional[int] = None):
-    return _materialize(builder_for(construction, bundle), budget)
-
-
-def direct_product(bundle: InstanceBundle, budget: Optional[int] = None) -> Nfa:
-    return materialize("direct", bundle, budget)
-
-
-def nodding_product(bundle: InstanceBundle, budget: Optional[int] = None) -> EpsilonNfa:
-    return materialize("nodding", bundle, budget)
-
-
-def echoing_product(bundle: InstanceBundle, budget: Optional[int] = None) -> Nfa:
-    return materialize("echoing", bundle, budget)
-
-
-def catchup_product(bundle: InstanceBundle, budget: Optional[int] = None) -> Nfa:
-    return materialize("catchup", bundle, budget)
-
-
-def leapfrog_product(bundle: InstanceBundle, budget: Optional[int] = None) -> Nfa:
-    return materialize("leapfrog", bundle, budget)
 
 
 def reachable(builder: ProductBuilder, budget: Optional[int] = None):
@@ -614,7 +628,7 @@ def _stats(builder: ProductBuilder, bundle: InstanceBundle, states_acc: int, tra
         states_accessible=states_acc,
         transitions_total=builder.total_transitions(),
         transitions_accessible=trans_acc,
-        m_leq_k=m_leq_k(bundle),
+        m_leq_k=bundle.prepared.m_leq_k,
     )
 
 

@@ -13,7 +13,7 @@ from nfai.automata import (
     validate_run,
 )
 from nfai.hardness import clique_to_dfas, random_nfa
-from nfai.products import nodding_product
+from nfai.products import materialize
 
 from helpers import EXAMPLE_CLIQUE_WORD, aa_bb_cc_star, all_words, example_clique_graph
 
@@ -55,7 +55,7 @@ def test_epsilon_accepts_nodding_product_cross_check():
     graph = example_clique_graph()
     dfas = clique_to_dfas(graph, 4)
     bundle = InstanceBundle((dfas[0], dfas[1]))
-    product = nodding_product(bundle)
+    product = materialize("nodding", bundle)
     word = EXAMPLE_CLIQUE_WORD
     assert epsilon_accepts(product, word) == (accepts(dfas[0], word) and accepts(dfas[1], word))
     assert epsilon_accepts(product, word)

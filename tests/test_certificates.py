@@ -408,6 +408,40 @@ def test_huge_declared_cut_exits_2_from_cli(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_huge_declared_cut_serialization_raises_budget(monkeypatch):
+    cut = StaggeredCut(1, (3_000_000_000, 3_000_000_000), (1, 1))
+    with pytest.raises(BudgetExceeded, match="cut tuple space has 9000000000000000000 tuples"):
+        serialize_certificate(cut)
+    small = StaggeredCut(1, (2, 2), (1, 1))
+    monkeypatch.setenv("NFAI_STATE_BUDGET", "4")  # exactly the 2x2 tuple space
+    assert parse_certificate(serialize_certificate(small)) == small
+    monkeypatch.setenv("NFAI_STATE_BUDGET", "3")
+    with pytest.raises(BudgetExceeded):
+        serialize_certificate(small)
+
+
+def test_many_cut_checks_build_the_tuple_space_once(monkeypatch):
+    # criterion 4's sweep checks hundreds of cuts against each bundle; the
+    # tuple space, initial tuple and final mask are derived once per bundle
+    built = []
+    init = ProductSpace.__init__
+
+    def counting_init(self, sizes, n_tags):
+        built.append(tuple(sizes))
+        init(self, sizes, n_tags)
+
+    cut = extract_staggered_cut(complete_empty_bundle())
+    bundle = complete_empty_bundle()
+    monkeypatch.setattr(ProductSpace, "__init__", counting_init)
+    for bit in range(45):  # five rounds over the 9 tuples
+        sets = tuple(mask & ~(1 << bit % 9) for mask in cut.sets)
+        mutated = StaggeredCut(cut.n_letters, cut.sizes, sets)
+        for verifier in (verify_staggered_cut, verify_staggered_cut_naive):
+            assert verifier(bundle, cut).ok
+            assert not verifier(bundle, mutated).ok
+    assert built == [cut.sizes]
+
+
 def test_cut_budget_boundary_and_mask_width(monkeypatch):
     bundle = _disjoint_singletons()
     cut = extract_staggered_cut(bundle)

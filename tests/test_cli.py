@@ -1,5 +1,12 @@
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import nfai
 from nfai.automata import InstanceBundle, Nfa
 from nfai.cli import main
 from nfai.fileformat import parse_automaton, parse_bundle, serialize_bundle
@@ -287,6 +294,45 @@ def test_certify_checks_cut_tuple_space_against_budget(tmp_path, monkeypatch, ca
     assert main(["certify", str(bundle), "-o", str(cert)]) == 2
     assert "36000000 tuples" in capsys.readouterr().err
     assert not cert.exists()
+
+
+# one transition, but a declared 3,000,000 x 2 tuple space and 20 letters:
+# preparing it must cost what its transitions cost, not what n * l does
+HOSTILE_BUNDLE = (
+    "nfa\nstates 3000000\nalphabet 20\ninitial 0\nfinal 1\ntrans 0 0 1\n"
+    "---\nnfa\nstates 2\nalphabet 20\ninitial 0\nfinal 1\n"
+)
+
+
+def _run_capped(args, cwd):
+    """Run ``nfai`` in a child process with NFAI_STATE_BUDGET=1000, a 10 s
+    timeout and about 1 GB of address space, so a run that tries to
+    allocate per declared state fails there, not in the test process."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(nfai.__file__).resolve().parents[1])
+    env = dict(os.environ, NFAI_STATE_BUDGET="1000",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from nfai.cli import main; sys.exit(main())", *args],
+        cwd=cwd, env=env, preexec_fn=cap, capture_output=True, text=True, timeout=10,
+    )
+
+
+@pytest.mark.parametrize("args, code, message", [
+    (["decide", "hostile.nfa"], 1, "explored_states=2"),
+    (["certify", "hostile.nfa", "-o", "hostile.cert"], 2, "cut tuple space has 6000000 tuples"),
+] + [
+    (["product", "--construction", c, "hostile.nfa", "-o", "hostile.out"], 0, f"{c},2,20,3000000,1,")
+    for c in ("direct", "nodding", "echoing", "catchup", "leapfrog")
+])
+def test_hostile_bundle_costs_its_transitions(tmp_path, args, code, message):
+    (tmp_path / "hostile.nfa").write_text(HOSTILE_BUNDLE)
+    done = _run_capped(args, tmp_path)
+    assert (done.returncode, "Traceback" in done.stderr) == (code, False), done.stderr
+    assert message in done.stderr
 
 
 def _letterless_bundle_text(first_final):

@@ -4,7 +4,7 @@ from nfai.automata import InstanceBundle, Nfa, accepts, run_is_accepting, valida
 from nfai.decision import decide_direct_baseline, decide_empty, witness_word
 from nfai.hardness import clique_bundle, random_bundle
 from nfai.oracle import bounded_intersection_witness
-from nfai.products import BudgetExceeded, nodding_product
+from nfai.products import BudgetExceeded, materialize
 
 from helpers import EXAMPLE_CLIQUE_WORD, complete_empty_bundle, example_clique_graph
 
@@ -55,7 +55,7 @@ def test_witness_run_validates_and_projects(seed):
     result = decide_empty(bundle)
     if result.empty:
         return
-    product = nodding_product(bundle)
+    product = materialize("nodding", bundle)
     word = validate_run(product, result.witness_run)
     assert isinstance(word, tuple)
     assert run_is_accepting(product, result.witness_run)

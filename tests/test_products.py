@@ -16,13 +16,8 @@ from nfai.products import (
     accessible_part,
     accessible_stats,
     builder_for,
-    catchup_product,
-    direct_product,
-    echoing_product,
-    leapfrog_product,
     m_leq_k,
     materialize,
-    nodding_product,
     reach_map,
     stats_csv_row,
 )
@@ -80,7 +75,8 @@ def test_space_masks_match_tuple_by_tuple_reference(sizes, data):
     for c in _members(space, mask):
         for d in targets[c[i]]:
             expected.add(c[:i] + (d,) + c[i + 1:])
-    assert set(_members(space, space.move(mask, i, targets))) == expected
+    moves = {q: dsts for q, dsts in enumerate(targets) if dsts}
+    assert set(_members(space, space.move(mask, i, moves))) == expected
 
     if mask:
         # row-major order of the matrix exposing component i: rows are the
@@ -103,15 +99,28 @@ def reference_relation(a, word):
     return matrix
 
 
+def dense_rows(a, rows):
+    """Sparse ``reach_map`` rows as one row per state, 0 where absent."""
+    return tuple(rows.get(q, 0) for q in range(a.n_states))
+
+
 def relation_of(a, word):
-    """The ``reach_map`` rows of ``word`` as a matrix."""
-    return BoolMatrix(a.n_states, a.n_states, reach_map(a, len(word))[tuple(word)])
+    """The ``reach_map`` rows of ``word`` as a matrix; the identity for the
+    empty word, which ``reach_map`` leaves out."""
+    if not word:
+        return BoolMatrix.identity(a.n_states)
+    return BoolMatrix(a.n_states, a.n_states, dense_rows(a, reach_map(a, len(word))[tuple(word)]))
 
 
 def test_reach_relation_empty_word_is_identity():
+    # reach_map builds no identity rows; m_leq_k counts the empty word's n
+    # pairs without them, so a bundle with no transitions still gives n
     a = random_nfa(4, 2, 0.5, "reach")
-    assert reach_map(a, 0) == {(): (1, 2, 4, 8)}
+    assert reach_map(a, 0) == {}
+    assert () not in reach_map(a, 2)
     assert relation_of(a, ()) == BoolMatrix.identity(4)
+    still = Nfa(4, 2, (), 0, frozenset())
+    assert m_leq_k(InstanceBundle((still, Nfa(3, 2, (), 0, frozenset())))) == 4
 
 
 def test_reach_relation_single_letter_is_adjacency():
@@ -121,7 +130,9 @@ def test_reach_relation_single_letter_is_adjacency():
 
 def test_reach_relation_chain():
     chain = Nfa(3, 2, ((0, 0, 1), (1, 1, 2)), 0, frozenset({2}))
-    assert reach_map(chain, 2)[(0, 1)] == (0b100, 0, 0)
+    table = reach_map(chain, 2)
+    assert table[(0, 1)] == {0: 0b100}  # rows only for the states that move
+    assert table[(1, 0)] == {} and table[(0,)] == {0: 0b10}
 
 
 @given(st.integers(0, 50), st.integers(1, 3), st.integers(0, 3))
@@ -137,9 +148,10 @@ def test_reach_relation_composes(seed, split, extra):
 def test_reach_map_consistent_with_reach_relation():
     a = random_nfa(3, 2, 0.7, "reachmap")
     table = reach_map(a, 3)
-    assert sorted(table) == sorted(all_words(2, 3))
+    assert sorted(table) == sorted(w for w in all_words(2, 3) if w)
     for word, rows in table.items():
-        assert rows == reference_relation(a, word).row_bits
+        assert all(rows.values())
+        assert dense_rows(a, rows) == reference_relation(a, word).row_bits
 
 
 def test_m_leq_k_bounded_by_n_squared():
@@ -164,11 +176,39 @@ def test_m_leq_k_matches_subset_simulation_on_corpus():
         assert m_leq_k(bundle) == best
 
 
+def test_m_leq_k_built_once_per_bundle(monkeypatch):
+    # the accessible part, its statistics and m_leq_k itself share one
+    # prepared bundle: each component's reach_map is built once in all, and
+    # only one component's table is alive at a time
+    import nfai.products as products
+
+    calls, alive = [], []
+
+    class Table(dict):
+        def __del__(self):
+            alive.remove(id(self))
+
+    def counting_reach_map(a, max_len):
+        calls.append(a)
+        table = Table(reach_map(a, max_len))
+        alive.append(id(table))
+        assert len(alive) == 1, "an earlier component's table is still held"
+        return table
+
+    monkeypatch.setattr(products, "reach_map", counting_reach_map)
+    bundle = random_bundle(3, 3, 2, 0.6, "once")
+    first, _ = accessible_stats("nodding", bundle)
+    again, _ = accessible_stats("nodding", bundle)
+    _, part = accessible_part("nodding", bundle)
+    assert first == again == part and m_leq_k(bundle) == first.m_leq_k
+    assert calls == list(bundle.automata)
+
+
 # --- direct product -----------------------------------------------------------
 
 def test_direct_product_of_self_loops():
     a = Nfa(1, 1, ((0, 0, 0),), 0, frozenset({0}))
-    product = direct_product(InstanceBundle((a, a)))
+    product = materialize("direct", InstanceBundle((a, a)))
     assert product.n_states == 1
     assert product.transitions == ((0, 0, 0),)
     assert accepts(product, (0, 0, 0))
@@ -177,7 +217,7 @@ def test_direct_product_of_self_loops():
 def test_direct_product_empty_finals():
     a = Nfa(2, 1, ((0, 0, 1),), 0, frozenset({1}))
     b = Nfa(2, 1, ((0, 0, 1),), 0, frozenset())
-    assert direct_product(InstanceBundle((a, b))).finals == frozenset()
+    assert materialize("direct", InstanceBundle((a, b))).finals == frozenset()
 
 
 # --- nodding product ------------------------------------------------------------
@@ -192,7 +232,7 @@ def test_nodding_copy_count():
 def test_nodding_size_bounds():
     for bundle in small_bundles(3, k=3):
         k, l, n, m = bundle.k, bundle.n_letters, bundle.max_states, bundle.max_transitions
-        product = nodding_product(bundle)
+        product = materialize("nodding", bundle)
         assert product.n_states <= (k * l - l + 1) * n ** k
         assert product.m <= k * m * n ** (k - 1)
 
@@ -201,7 +241,7 @@ def test_nodding_three_petals_for_three_letters():
     bundle = random_bundle(2, 2, 3, 0.8, "petals")
     builder = builder_for("nodding", bundle)
     assert builder.space.n_tags == 4  # base plus one copy per letter
-    product = nodding_product(bundle)
+    product = materialize("nodding", bundle)
     base = builder.space.base_size
     for (src, label, dst) in product.transitions:
         src_tag, dst_tag = src // base, dst // base
@@ -215,7 +255,7 @@ def test_nodding_volley_structure():
     bundle = random_bundle(3, 2, 2, 0.7, "volley")
     builder = builder_for("nodding", bundle)
     space = builder.space
-    product = nodding_product(bundle)
+    product = materialize("nodding", bundle)
     for (src, label, dst) in product.transitions:
         src_comps, src_tag = space.decode(src)
         dst_comps, dst_tag = space.decode(dst)
@@ -242,13 +282,13 @@ def test_nodding_volley_structure():
 
 def test_nodding_language_small():
     for bundle in small_bundles(3):
-        product = nodding_product(bundle)
+        product = materialize("nodding", bundle)
         assert difference_witness(DetAcceptor(product), BundleAcceptor(bundle), bundle.n_letters, 8) is None
 
 
 def test_nodding_accepts_via_epsilon_subset_simulation():
     bundle = random_bundle(2, 3, 2, 0.6, "nodacc")
-    product = nodding_product(bundle)
+    product = materialize("nodding", bundle)
     for word in itertools.product(range(2), repeat=4):
         assert epsilon_accepts(product, word) == all(accepts(a, word) for a in bundle.automata)
 
@@ -257,13 +297,13 @@ def test_nodding_accepts_via_epsilon_subset_simulation():
 
 def test_echoing_accepts_exactly_stutterings():
     for bundle in small_bundles(2):
-        product = echoing_product(bundle)
+        product = materialize("echoing", bundle)
         assert difference_witness(DetAcceptor(product), StutterAcceptor(bundle), bundle.n_letters, 8) is None
 
 
 def test_echoing_rejects_off_block_words():
     bundle = random_bundle(2, 3, 2, 1.0, "echo")
-    product = echoing_product(bundle)
+    product = materialize("echoing", bundle)
     assert not accepts(product, (0,))  # length not divisible by k
     assert not accepts(product, (0, 1))  # non-constant block
     word = (1, 0, 1)
@@ -275,7 +315,7 @@ def test_echoing_rejects_off_block_words():
 def test_catchup_size_bounds():
     for k in (2, 3):
         for bundle in small_bundles(2, k=k):
-            product = catchup_product(bundle)
+            product = materialize("catchup", bundle)
             kk, l, n = bundle.k, bundle.n_letters, bundle.max_states
             assert product.n_states <= 2 * kk * l ** kk * n ** kk
             assert product.m <= 2 * kk * l ** kk * m_leq_k(bundle) * n ** (kk - 1)
@@ -288,7 +328,7 @@ def test_catchup_two_step_transition_family():
     bundle = InstanceBundle((a0, a1))
     builder = builder_for("catchup", bundle)
     space = builder.space
-    product = catchup_product(bundle)
+    product = materialize("catchup", bundle)
     petal_ab = builder.tag_index[("petal", (0, 1), 1)]
     expected = set()
     for q in range(a1.n_states):
@@ -304,7 +344,7 @@ def test_catchup_two_step_transition_family():
 def test_catchup_language_including_odd_lengths():
     for k in (2, 3):
         for bundle in small_bundles(2, k=k):
-            product = catchup_product(bundle)
+            product = materialize("catchup", bundle)
             assert difference_witness(DetAcceptor(product), BundleAcceptor(bundle), bundle.n_letters, 8) is None
 
 
@@ -313,7 +353,7 @@ def test_catchup_language_including_odd_lengths():
 def test_leapfrog_state_bound():
     for k in (2, 3):
         for bundle in small_bundles(2, k=k):
-            product = leapfrog_product(bundle)
+            product = materialize("leapfrog", bundle)
             kk, l, n = bundle.k, bundle.n_letters, bundle.max_states
             assert product.n_states <= 2 * kk * l ** (kk - 1) * n ** kk
 
@@ -324,7 +364,7 @@ def test_leapfrog_two_step_transition_family():
     bundle = InstanceBundle((a0, a1))
     builder = builder_for("leapfrog", bundle)
     space = builder.space
-    product = leapfrog_product(bundle)
+    product = materialize("leapfrog", bundle)
     src_tag = builder.tag_index[("main", 0, (0,))]
     dst_tag = builder.tag_index[("main", 1, (1,))]
     expected = set()
@@ -343,7 +383,7 @@ def test_leapfrog_two_step_transition_family():
 def test_leapfrog_language():
     for k in (2, 3):
         for bundle in small_bundles(2, k=k):
-            product = leapfrog_product(bundle)
+            product = materialize("leapfrog", bundle)
             assert difference_witness(DetAcceptor(product), BundleAcceptor(bundle), bundle.n_letters, 8) is None
 
 
@@ -424,7 +464,7 @@ def test_accessible_states_at_most_transitions_plus_one():
 def test_accessible_nodding_language_equals_materialized():
     for bundle in small_bundles(2):
         sub, _ = accessible_part("nodding", bundle)
-        full = nodding_product(bundle)
+        full = materialize("nodding", bundle)
         assert difference_witness(DetAcceptor(sub), DetAcceptor(full), bundle.n_letters, 8) is None
 
 
