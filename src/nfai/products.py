@@ -243,19 +243,19 @@ class PreparedBundle:
     transitions cost, not what n does.  The state budget is never cached."""
 
     def __init__(self, bundle: InstanceBundle):
-        self.bundle = bundle
+        self.automata = bundle.automata  # not the bundle: no cycle through its cache
         self.space = ProductSpace([a.n_states for a in bundle.automata], 1)  # one copy
         self.initial = self.space.encode([a.initial for a in bundle.automata])
 
     @cached_property
     def final_mask(self) -> int:
         """The final tuples; check the tuple budget before first use."""
-        return self.space.product_mask([a.finals for a in self.bundle.automata])
+        return self.space.product_mask([a.finals for a in self.automata])
 
     @cached_property
     def letters(self) -> tuple:
         """letters[i][s]: ``{q: successors of q on s}`` in component i."""
-        return tuple(_by_letter(a) for a in self.bundle.automata)
+        return tuple(_by_letter(a) for a in self.automata)
 
     @cached_property
     def words(self) -> tuple:
@@ -263,15 +263,15 @@ class PreparedBundle:
         i, for 1 <= |u| <= k; the length-1 entries are ``letters``."""
         return tuple(
             {u: letters[u[0]] if len(u) == 1 else {q: _bits(row) for q, row in rows.items()}
-             for u, rows in reach_map(a, self.bundle.k).items()}
-            for a, letters in zip(self.bundle.automata, self.letters)
+             for u, rows in reach_map(a, len(self.automata)).items()}
+            for a, letters in zip(self.automata, self.letters)
         )
 
     @cached_property
     def m_leq_k(self) -> int:
         """See :func:`m_leq_k`."""
-        k, most = self.bundle.k, 0
-        for a in self.bundle.automata:  # each table is dropped before the next is built
+        k, most = len(self.automata), 0
+        for a in self.automata:  # each table is dropped before the next is built
             largest = max((sum(map(int.bit_count, rows.values())) for rows in reach_map(a, k).values()),
                           default=0)
             most = max(most, a.n_states, largest)

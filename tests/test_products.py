@@ -204,6 +204,23 @@ def test_m_leq_k_built_once_per_bundle(monkeypatch):
     assert calls == list(bundle.automata)
 
 
+def test_prepared_tables_freed_with_the_bundle():
+    # the prepared tables must not point back at the bundle that caches
+    # them: such a cycle would keep them alive until the cycle collector ran
+    import gc
+    import weakref
+
+    bundle = random_bundle(2, 3, 2, 0.6, "freed")
+    accessible_stats("catchup", bundle)
+    prepared = weakref.ref(bundle.prepared)
+    gc.disable()
+    try:
+        del bundle
+        assert prepared() is None
+    finally:
+        gc.enable()
+
+
 # --- direct product -----------------------------------------------------------
 
 def test_direct_product_of_self_loops():
