@@ -191,7 +191,11 @@ def reach_map(a: Nfa, max_len: int) -> Dict[tuple, dict]:
     somewhere from to the mask with bit d set iff u leads from q to d; row q
     of ``(s,) + u`` ORs u's rows at the successors of q on s.  No identity
     rows for the empty word: the cost follows the transitions, not n."""
-    letters = _by_letter(a)
+    return _reach_rows(_by_letter(a), max_len)
+
+
+def _reach_rows(letters: tuple, max_len: int) -> Dict[tuple, dict]:
+    """:func:`reach_map` from one component's per-letter successor dicts."""
     table = {(s,): {q: sum(1 << d for d in dsts) for q, dsts in moves.items()}
              for s, moves in enumerate(letters)} if max_len else {}
     layer = list(table)
@@ -218,8 +222,14 @@ def m_leq_k(bundle: InstanceBundle) -> int:
     """Largest word-reachability relation over all components and words of
     length <= k, as a count of (source, target) pairs; never exceeds n^2.
     The empty word's n pairs are counted, not built, and one component's
-    ``reach_map`` is held at a time.  Cached on the bundle."""
-    return bundle.prepared.m_leq_k
+    sparse reach rows are held at a time."""
+    k, most = bundle.k, 0
+    for a, letters in zip(bundle.automata, bundle.prepared.letters):
+        # each table is dropped before the next is built
+        largest = max((sum(map(int.bit_count, rows.values())) for rows in _reach_rows(letters, k).values()),
+                      default=0)
+        most = max(most, a.n_states, largest)
+    return most
 
 
 def _words(n_letters: int, length: int):
@@ -260,22 +270,13 @@ class PreparedBundle:
     @cached_property
     def words(self) -> tuple:
         """words[i][u]: ``{q: states reached from q reading u}`` in component
-        i, for 1 <= |u| <= k; the length-1 entries are ``letters``."""
+        i, for 1 <= |u| <= k; the length-1 entries are ``letters``, whose
+        mask rows only seed the longer words."""
         return tuple(
             {u: letters[u[0]] if len(u) == 1 else {q: _bits(row) for q, row in rows.items()}
-             for u, rows in reach_map(a, len(self.automata)).items()}
-            for a, letters in zip(self.automata, self.letters)
+             for u, rows in _reach_rows(letters, len(self.automata)).items()}
+            for letters in self.letters
         )
-
-    @cached_property
-    def m_leq_k(self) -> int:
-        """See :func:`m_leq_k`."""
-        k, most = len(self.automata), 0
-        for a in self.automata:  # each table is dropped before the next is built
-            largest = max((sum(map(int.bit_count, rows.values())) for rows in reach_map(a, k).values()),
-                          default=0)
-            most = max(most, a.n_states, largest)
-        return most
 
 
 class ProductBuilder:
@@ -628,7 +629,7 @@ def _stats(builder: ProductBuilder, bundle: InstanceBundle, states_acc: int, tra
         states_accessible=states_acc,
         transitions_total=builder.total_transitions(),
         transitions_accessible=trans_acc,
-        m_leq_k=bundle.prepared.m_leq_k,
+        m_leq_k=m_leq_k(bundle),
     )
 
 

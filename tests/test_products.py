@@ -176,32 +176,30 @@ def test_m_leq_k_matches_subset_simulation_on_corpus():
         assert m_leq_k(bundle) == best
 
 
-def test_m_leq_k_built_once_per_bundle(monkeypatch):
-    # the accessible part, its statistics and m_leq_k itself share one
-    # prepared bundle: each component's reach_map is built once in all, and
-    # only one component's table is alive at a time
+def test_m_leq_k_holds_one_table_at_a_time(monkeypatch):
+    # one accessible_stats call on nodding builds each component's reach
+    # rows once, from the prepared letter lists, and only one component's
+    # table is alive at a time
     import nfai.products as products
 
-    calls, alive = [], []
+    reach_rows, calls, alive = products._reach_rows, [], []
 
     class Table(dict):
         def __del__(self):
             alive.remove(id(self))
 
-    def counting_reach_map(a, max_len):
-        calls.append(a)
-        table = Table(reach_map(a, max_len))
+    def counting_reach_rows(letters, max_len):
+        calls.append(letters)
+        table = Table(reach_rows(letters, max_len))
         alive.append(id(table))
         assert len(alive) == 1, "an earlier component's table is still held"
         return table
 
-    monkeypatch.setattr(products, "reach_map", counting_reach_map)
+    monkeypatch.setattr(products, "_reach_rows", counting_reach_rows)
     bundle = random_bundle(3, 3, 2, 0.6, "once")
-    first, _ = accessible_stats("nodding", bundle)
-    again, _ = accessible_stats("nodding", bundle)
-    _, part = accessible_part("nodding", bundle)
-    assert first == again == part and m_leq_k(bundle) == first.m_leq_k
-    assert calls == list(bundle.automata)
+    stats, _ = accessible_stats("nodding", bundle)
+    assert list(map(id, calls)) == list(map(id, bundle.prepared.letters))
+    assert not alive and stats.m_leq_k == m_leq_k(bundle)
 
 
 def test_prepared_tables_freed_with_the_bundle():
