@@ -8,6 +8,14 @@ gives the word it spells.  Emptiness is certified by a *staggered cut*: per
 initial tuple, avoid all final tuples, and are closed under
 single-component moves.
 
+A cut is extracted with the same bitmask moves that decide the instance:
+the word-parallel closure of the nodding product
+(``products.nodding_closure``) gives the reached base tuples, and the
+first i moves of letter a's petal applied to them give subset (i, a), so a
+cut costs k.l moves beyond the closure.  Only when the closure's work guard
+hands the bundle back does extraction walk the product state by state
+through ``products.reachable``.
+
 The cut verifier never walks the product's transition relation.  Closure is
 the boolean matrix-product inequality ``Out . Δ <= In``, where Out and In
 expose one tuple component of a subset as columns and Δ is that component's
@@ -31,7 +39,7 @@ from typing import List, Optional, Union
 from .automata import EPSILON, InstanceBundle, RunViolation, run_is_accepting, validate_run
 from .boolmatrix import BoolMatrix
 from .decision import Decision
-from .products import ProductSpace, builder_for, reachable
+from .products import ProductSpace, builder_for, nodding_closure, reachable
 
 CERT_MAGIC = "nfa-cert v1"
 
@@ -165,13 +173,32 @@ def verify_short_pathset(bundle: InstanceBundle, ps: ShortPathset) -> Verdict:
 
 
 def extract_staggered_cut(bundle: InstanceBundle) -> StaggeredCut:
-    """Collect the reachable copies of the nodding product into a cut.
+    """Collect the accessible part of the nodding product into a cut.
 
-    The base-copy reachable tuples become every index-0 subset; the tuples
-    reachable in the (letter, volley i) copy become subset (i, letter).
-    Raises if the instance turns out to be non-empty (no cut exists then).
+    The base-copy tuples become every index-0 subset and the tuples of the
+    (letter, volley i) copy become subset (i, letter).  The word-parallel
+    closure (``products.nodding_closure``) gives them as bitmasks; only when
+    its work guard hands the bundle back does the breadth-first walk of
+    ``products.reachable`` collect them state by state.  Raises ValueError
+    if the instance turns out to be non-empty (no cut exists then), and
+    BudgetExceeded when the tuple space or the accessible part exceeds the
+    state budget.
     """
-    bundle.prepared.space.check_tuple_budget()
+    prepared = bundle.prepared
+    prepared.space.check_tuple_budget()
+    closure = nodding_closure(prepared)
+    if closure is None:
+        return _cut_by_walk(bundle)
+    if closure.finals:
+        raise ValueError("intersection is non-empty; no staggered cut exists")
+    k, l = bundle.k, bundle.n_letters
+    unreached = (0,) * (k - 1)
+    volleys = [closure.petals.get(letter, unreached)[i] for i in range(k - 1) for letter in range(l)]
+    return StaggeredCut(l, prepared.space.sizes, tuple([closure.base] * l + volleys))
+
+
+def _cut_by_walk(bundle: InstanceBundle) -> StaggeredCut:
+    """:func:`extract_staggered_cut` one product state at a time."""
     builder = builder_for("nodding", bundle)
     k, l, base_size = bundle.k, bundle.n_letters, builder.space.base_size
     masks = [0] * builder.space.n_tags

@@ -1,0 +1,215 @@
+"""The word-parallel nodding closure, ``products.nodding_closure``, against
+the list engines it stands in for: ``decision._search`` for answers and both
+counters, the ``products.reachable`` walk for every cut subset, and both for
+the state budget.  Its work guard is checked on bundles whose tuple space is
+far larger than their accessible part.
+"""
+
+import os
+import resource
+import subprocess
+import sys
+import time
+from contextlib import contextmanager
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import nfai
+from nfai import decision, products
+from nfai.automata import InstanceBundle, Nfa
+from nfai.certificates import _cut_by_walk, extract_staggered_cut
+from nfai.decision import _search, decide_empty
+from nfai.products import BudgetExceeded, builder_for, nodding_closure
+
+from helpers import acceptance_corpus
+
+
+def _fresh(bundle):
+    """An equal bundle with its own prepared tables."""
+    return InstanceBundle(bundle.automata)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+def _check_against_list_engines(bundle):
+    """Closure and list engines agree; returns whether the bundle is empty."""
+    reference = _search(builder_for("nodding", bundle))
+    closure = nodding_closure(bundle.prepared)
+    assert closure is not None  # small tuple spaces never trip the guard
+    assert (closure.finals == 0) == reference.empty
+    assert closure.finals & ~bundle.prepared.final_mask == 0
+    assert decide_empty(_fresh(bundle)) == reference
+    if not reference.empty:
+        with pytest.raises(ValueError):
+            extract_staggered_cut(bundle)
+        return False
+    assert (closure.states, closure.transitions) == (reference.explored_states, reference.explored_transitions)
+    cut, walked = extract_staggered_cut(bundle), _cut_by_walk(bundle)
+    assert (cut.n_letters, cut.sizes) == (walked.n_letters, walked.sizes)
+    assert [hex(s) for s in cut.sets] == [hex(s) for s in walked.sets]
+    return True
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return acceptance_corpus()
+
+
+def test_closure_matches_list_engines_on_corpus(corpus):
+    empties = sum(_check_against_list_engines(bundle) for _, bundle in corpus)
+    assert 0 < empties < len(corpus)
+
+
+@st.composite
+def bundles(draw):
+    k, letters = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    automata = []
+    for _ in range(k):
+        n = draw(st.integers(1, 5))
+        states = st.integers(0, n - 1)
+        moves = draw(st.lists(st.tuples(states, st.integers(0, letters - 1), states), max_size=3 * n * letters))
+        finals = draw(st.sets(states, max_size=n))
+        automata.append(Nfa(n, letters, tuple(moves), draw(states), frozenset(finals)))
+    return InstanceBundle(tuple(automata))
+
+
+@contextmanager
+def _budget(limit):
+    saved = os.environ.get("NFAI_STATE_BUDGET")
+    os.environ["NFAI_STATE_BUDGET"] = str(limit)
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ["NFAI_STATE_BUDGET"]
+        else:
+            os.environ["NFAI_STATE_BUDGET"] = saved
+
+
+def _check_budget_alike(bundle):
+    """With the budget at the states the list search explores, both engines
+    pass; with one less, both raise, and extraction follows the walk's
+    outcome exactly.  Returns how many of these runs the closure answered."""
+    reference = _search(builder_for("nodding", bundle))
+    explored, closure_runs = reference.explored_states, 0
+    for limit in (explored, explored - 1):
+        with _budget(limit):
+            probe = _fresh(bundle)
+            expected = _outcome(lambda: _search(builder_for("nodding", probe)))
+            assert _outcome(lambda: decide_empty(_fresh(bundle))) == expected, limit
+            if explored > 1:
+                assert isinstance(expected, str) == (limit < explored), limit
+            if reference.empty:
+                walked = _outcome(lambda: (probe.prepared.space.check_tuple_budget(), _cut_by_walk(probe))[1])
+                assert _outcome(lambda: extract_staggered_cut(_fresh(bundle))) == walked, limit
+                closure_runs += probe.prepared.space.base_size <= limit  # not the fallback
+    return closure_runs
+
+
+@settings(max_examples=300, deadline=None)
+@given(bundles())
+def test_closure_matches_list_engines_on_random_bundles(bundle):
+    _check_against_list_engines(bundle)
+    _check_budget_alike(bundle)
+
+
+def test_budget_raises_alike_at_the_explored_count(corpus):
+    assert sum(_check_budget_alike(bundle) for _, bundle in corpus) > 10
+
+
+def test_forced_fallback_gives_the_same_results(corpus, monkeypatch):
+    sample = [bundle for _, bundle in corpus[::5]]
+
+    def results():
+        out = []
+        for bundle in sample:
+            result = decide_empty(_fresh(bundle))
+            out.append((result, extract_staggered_cut(_fresh(bundle)) if result.empty else None))
+        return out
+
+    closure = results()
+    monkeypatch.setattr(products, "CLOSURE_WORDS", -1)  # trips at the first move
+    monkeypatch.setattr(products, "CLOSURE_WORDS_PER_STATE", 0)
+    fallbacks = sum(nodding_closure(_fresh(bundle).prepared) is None for bundle in sample)
+    assert fallbacks > len(sample) // 2
+    assert results() == closure
+
+
+def test_many_final_tuples_are_tested_by_the_builder(corpus, monkeypatch):
+    monkeypatch.setattr(decision, "_FINAL_SET_LIMIT", 0)
+    nonempty = [bundle for _, bundle in corpus if nodding_closure(bundle.prepared).finals]
+    assert nonempty
+    for bundle in nonempty:
+        assert decide_empty(_fresh(bundle)) == _search(builder_for("nodding", bundle))
+
+
+def test_letters_without_moves_share_one_table():
+    a = Nfa(2, 1000, ((0, 7, 1),), 0, frozenset({1}))
+    letters = InstanceBundle((a, a)).prepared.letters[0]
+    assert letters[7] == {0: (1,)}
+    assert len({id(lists) for lists in letters}) == 2
+
+
+# --- the work guard ------------------------------------------------------------------
+
+def _chains(n):
+    """Two n-state one-letter chains, final at their ends one apart: empty,
+    with about 2n accessible states in an n * n tuple space."""
+    def chain(final):
+        return Nfa(n, 1, tuple((q, 0, q + 1) for q in range(n - 1)), 0, frozenset({final}))
+    return InstanceBundle((chain(n - 1), chain(n - 2)))
+
+
+def test_guard_hands_long_chains_to_the_list_engines():
+    bundle = _chains(3000)  # 9,000,000 tuples: under the default state budget
+    assert bundle.prepared.space.base_size <= products.state_budget()
+    started = time.perf_counter()
+    assert nodding_closure(bundle.prepared) is None
+    result = decide_empty(bundle)
+    decided = time.perf_counter() - started
+    assert (result.empty, result.explored_states, result.explored_transitions) == (True, 5999, 5998)
+    assert decided < 5
+    started = time.perf_counter()
+    cut = extract_staggered_cut(_chains(3000))
+    assert time.perf_counter() - started < 5
+    assert cut.set_for(0, 0).bit_count() == 3000 and cut.set_for(1, 0).bit_count() == 2999
+
+
+def test_guard_keeps_short_chains_on_the_closure():
+    closure = nodding_closure(_chains(50).prepared)
+    assert closure is not None and (closure.states, closure.transitions) == (99, 98)
+
+
+# two 2-state components declaring 2,000,000 letters, one transition
+HUGE_ALPHABET_BUNDLE = (
+    "nfa\nstates 2\nalphabet 2000000\ninitial 0\nfinal 1\ntrans 0 0 1\n"
+    "---\nnfa\nstates 2\nalphabet 2000000\ninitial 0\n"
+)
+
+
+def test_huge_alphabet_decide_costs_its_moving_letters(tmp_path):
+    """Decided in a child process with NFAI_STATE_BUDGET=1000 and about
+    1 GB of address space, so a run that allocates per letter fails there."""
+    (tmp_path / "huge.nfa").write_text(HUGE_ALPHABET_BUNDLE)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(nfai.__file__).resolve().parents[1])
+    env = dict(os.environ, NFAI_STATE_BUDGET="1000",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from nfai.cli import main; sys.exit(main())", "decide", "huge.nfa"],
+        cwd=tmp_path, env=env, preexec_fn=cap, capture_output=True, text=True, timeout=10,
+    )
+    assert (done.returncode, "Traceback" in done.stderr) == (1, False), done.stderr
+    assert done.stdout == "EMPTY\n"
+    assert "explored_states=2 explored_transitions=1" in done.stderr
