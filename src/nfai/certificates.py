@@ -8,13 +8,13 @@ gives the word it spells.  Emptiness is certified by a *staggered cut*: per
 initial tuple, avoid all final tuples, and are closed under
 single-component moves.
 
-A cut is extracted with the same bitmask moves that decide the instance:
-the word-parallel closure of the nodding product
-(``products.nodding_closure``) gives the reached base tuples, and the
-first i moves of letter a's petal applied to them give subset (i, a), so a
-cut costs k.l moves beyond the closure.  Only when the closure's work guard
-hands the bundle back does extraction walk the product state by state
-through ``products.reachable``.
+A cut is read off the word-parallel closure of the nodding product
+(``products.nodding_closure``) that decided the instance: its reached base
+tuples are every index-0 subset, and its mask of petal copy (a, i) is
+subset (i, a).  The closure is kept on the prepared bundle with the state
+budget it ran under, so certifying after deciding costs no further moves.
+Only when the closure's work guard hands the bundle back does extraction
+walk the product state by state through ``products.reachable``.
 
 The cut verifier never walks the product's transition relation.  Closure is
 the boolean matrix-product inequality ``Out . Δ <= In``, where Out and In
@@ -39,7 +39,7 @@ from typing import List, Optional, Union
 from .automata import EPSILON, InstanceBundle, RunViolation, run_is_accepting, validate_run
 from .boolmatrix import BoolMatrix
 from .decision import Decision
-from .products import ProductSpace, builder_for, nodding_closure, reachable
+from .products import ProductSpace, builder_for, reachable
 
 CERT_MAGIC = "nfa-cert v1"
 
@@ -177,16 +177,18 @@ def extract_staggered_cut(bundle: InstanceBundle) -> StaggeredCut:
 
     The base-copy tuples become every index-0 subset and the tuples of the
     (letter, volley i) copy become subset (i, letter).  The word-parallel
-    closure (``products.nodding_closure``) gives them as bitmasks; only when
-    its work guard hands the bundle back does the breadth-first walk of
-    ``products.reachable`` collect them state by state.  Raises ValueError
+    closure (``products.nodding_closure``) gives them as bitmasks, run once
+    per bundle and state budget, so a cut extracted after ``decide_empty``
+    reuses the decision's closure; only when its work guard hands the
+    bundle back does the breadth-first walk of ``products.reachable``
+    collect them state by state.  Raises ValueError
     if the instance turns out to be non-empty (no cut exists then), and
     BudgetExceeded when the tuple space or the accessible part exceeds the
     state budget.
     """
     prepared = bundle.prepared
     prepared.space.check_tuple_budget()
-    closure = nodding_closure(prepared)
+    closure = prepared.closure()
     if closure is None:
         return _cut_by_walk(bundle)
     if closure.finals:
@@ -197,16 +199,28 @@ def extract_staggered_cut(bundle: InstanceBundle) -> StaggeredCut:
     return StaggeredCut(l, prepared.space.sizes, tuple([closure.base] * l + volleys))
 
 
+def _mask_of(tids: List[int], n_bits: int) -> int:
+    """The mask with bit t set for each t in ``tids``, built once: ORing
+    one bit at a time into an int would cost a pass over it per bit."""
+    if not tids:
+        return 0
+    data = bytearray((n_bits + 7) // 8)
+    for t in tids:
+        data[t >> 3] |= 1 << (t & 7)
+    return int.from_bytes(data, "little")
+
+
 def _cut_by_walk(bundle: InstanceBundle) -> StaggeredCut:
     """:func:`extract_staggered_cut` one product state at a time."""
     builder = builder_for("nodding", bundle)
     k, l, base_size = bundle.k, bundle.n_letters, builder.space.base_size
-    masks = [0] * builder.space.n_tags
+    members: List[List[int]] = [[] for _ in range(builder.space.n_tags)]
     for sid, _ in reachable(builder):
         if builder.is_final(sid):
             raise ValueError("intersection is non-empty; no staggered cut exists")
         tag, rest = divmod(sid, base_size)
-        masks[tag] |= 1 << rest
+        members[tag].append(rest)
+    masks = [_mask_of(tids, base_size) for tids in members]
     volleys = [masks[builder.tag_index[(letter, i)]] for i in range(1, k) for letter in range(l)]
     return StaggeredCut(l, builder.sizes, tuple([masks[0]] * l + volleys))
 

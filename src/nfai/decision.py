@@ -5,16 +5,19 @@ The default decider works on the nodding product, whose accessible part is
 the sparsest of the constructions; the direct-product decider exists as the
 baseline the benchmarks compare against.
 
-Two engines explore the nodding product.  The word-parallel closure
+One closure decides both outcomes.  The word-parallel closure
 (``products.nodding_closure``) holds each set of reached tuples as one
-bitmask and grows the base copy a letter layer at a time; on an empty
-instance it alone gives the answer and both counters.  The list engine,
-``_search``, walks the product one state at a time, breadth-first so that
-a returned witness run is as short as possible, which the certificate layer
-relies on, and with layers kept word-sorted so the witness is also the
-lexicographically least among the shortest, matching the oracle.  It finds
-the witness of every non-empty instance, told by the closure which tuples
-can be final, and it takes the whole decision when the closure's work
+bitmask and grows the base copy a letter layer at a time, each tuple kept
+in the first layer that reaches it, until a layer meets a final tuple.  On
+an empty instance it alone gives the answer and both counters.  On a
+non-empty one, ``_from_layers`` reads the witness run and the counters off
+its layers.  The run is the one a breadth-first search with word-sorted
+layers returns: as short as possible, which the certificate layer relies
+on, and the lexicographically least among the shortest, matching the
+oracle, with ties between runs on one word broken by state ids.
+
+The list engine, ``_search``, is that search.  It walks the product one
+state at a time and takes the whole decision only when the closure's work
 guard hands the bundle back: when the tuple space exceeds the state budget,
 or the closure's big-int work outgrows the product states it has reached.
 The rule is fixed in code; both engines give the same Decision.
@@ -23,10 +26,12 @@ The rule is fixed in code; both engines give the same Decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .automata import EPSILON, InstanceBundle, Word
-from .products import BudgetExceeded, ProductBuilder, builder_for, nodding_closure, state_budget
+from .products import (
+    BudgetExceeded, NoddingClosure, ProductBuilder, builder_for, state_budget,
+)
 
 
 @dataclass(frozen=True)
@@ -61,24 +66,7 @@ def _witness(parents, final_sid) -> tuple:
     return tuple(steps)
 
 
-#: Most final tuples that decide_empty hands the search as a set; more are
-#: tested by ``builder.is_final``, which costs no memory per tuple.
-_FINAL_SET_LIMIT = 1 << 16
-
-
-def _members(mask: int) -> frozenset:
-    """The positions of the set bits of ``mask``, in time linear in its
-    length plus its members."""
-    digits = bin(mask)[:1:-1]  # least significant bit first
-    out = []
-    i = digits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = digits.find("1", i + 1)
-    return frozenset(out)
-
-
-def _search(builder: ProductBuilder, is_final: Optional[Callable[[int], bool]] = None) -> Decision:
+def _search(builder: ProductBuilder) -> Decision:
     """Layered BFS keeping each layer sorted by the word spelled so far.
 
     Several product states can spell the same prefix; expanding them in plain
@@ -89,12 +77,10 @@ def _search(builder: ProductBuilder, is_final: Optional[Callable[[int], bool]] =
     is reached by the lexicographically least among the shortest witnesses,
     matching the brute-force oracle's tie-break exactly.
 
-    ``is_final`` replaces ``builder.is_final`` when the caller already
-    knows which states the search can meet as final ones.  Raises
-    BudgetExceeded when more states than ``state_budget()`` would be
-    discovered.
+    Raises BudgetExceeded when more states than ``state_budget()`` would
+    be discovered.
     """
-    is_final = is_final or builder.is_final
+    is_final = builder.is_final
     limit = state_budget()
     initial = builder.initial
     if is_final(initial):
@@ -127,26 +113,122 @@ def _search(builder: ProductBuilder, is_final: Optional[Callable[[int], bool]] =
     return Decision(True, None, len(parents), explored_transitions)
 
 
+def _inverted(lists: dict) -> dict:
+    """``{d: states moving to d}`` from ``{q: states q moves to}``."""
+    out: dict = {}
+    for q, dsts in lists.items():
+        for d in dsts:
+            out.setdefault(d, []).append(q)
+    return out
+
+
+def _from_layers(bundle: InstanceBundle, closure: NoddingClosure) -> Decision:
+    """The Decision ``_search`` returns on a non-empty instance, read off the
+    closure's letter layers.
+
+    ``_search`` returns the least shortest accepting run, ordered first by
+    the word it spells and then by its state ids from the start.  It counts
+    every state nearer than the last layer, then the last layer's base
+    tuples it meets up to that run's final one: those whose least word is
+    below the witness word W, then those that W reaches through a run below
+    the witness run.  Sets co-reachable from the final tuples, computed
+    backwards, let W be taken greedily forwards; the same forward pass
+    collects the tuples of least word below W, and a walk along W alone
+    fixes the run and the tuples below it.  Raises BudgetExceeded when
+    ``_search`` would.
+    """
+    prepared = bundle.prepared
+    space, letters, layers = prepared.space, prepared.letters, closure.layers
+    k, last = len(letters), len(layers) - 1
+    moving = list(closure.petals)
+    inverse = {a: [_inverted(component[a]) for component in letters] for a in moving}
+
+    def petal(mask: int, a: int) -> int:
+        for i, component in enumerate(letters):
+            if not mask:
+                break
+            mask = space.move(mask, i, component[a])
+        return mask
+
+    def back(mask: int, a: int) -> int:
+        for i in range(k - 1, -1, -1):
+            if not mask:
+                break
+            mask = space.move(mask, i, inverse[a][i])
+        return mask
+
+    # coreach[d]: the tuples that some word of length last - d leads to a
+    # final tuple of the last layer; those of layer d are all it is met with
+    coreach = [0] * last + [closure.finals]
+    for d in range(last - 1, 0, -1):
+        for a in moving:
+            coreach[d] |= back(coreach[d + 1], a)
+    # reach: the tuples of layer d that the least word's prefix reaches;
+    # below: those whose least word is below that prefix
+    word, reach, below = [], layers[0], 0
+    for d in range(last):
+        nxt, lower = None, 0
+        for a in moving:
+            if nxt is None:
+                moved = petal(reach, a) & layers[d + 1]
+                if moved & coreach[d + 1]:
+                    word.append(a)
+                    nxt = moved
+                else:
+                    lower |= moved
+            lower |= petal(below, a)
+        reach, below = nxt, lower & layers[d + 1]
+    # live[t]: the tuples from which the word's steps from the t-th on, each
+    # moving one component, lead to a final tuple of the last layer
+    steps = [(i, a) for a in word for i in range(k)]
+    live = [closure.finals] * (len(steps) + 1)
+    for t in range(len(steps) - 1, -1, -1):
+        i, a = steps[t]
+        live[t] = space.move(live[t + 1], i, inverse[a][i])
+    builder = builder_for("nodding", bundle)
+    base_size, copy = space.base_size, builder.tag_index
+
+    def sid(t: int, tid: int) -> int:
+        return tid if t % k == 0 else copy[(word[t // k], t % k)] * base_size + tid
+
+    # the run takes the least successor that stays live at each step;
+    # earlier: the tuples the word reaches through a run below it so far
+    run, earlier, tid = [], 0, prepared.initial
+    for t, (i, a) in enumerate(steps):
+        targets = letters[i][a]
+        earlier = space.move(earlier, i, targets)
+        stride = space.strides[i]
+        q = tid // stride % space.sizes[i]
+        for state in targets[q]:  # ascending, so their tuples ascend too
+            dst = tid + (state - q) * stride
+            if live[t + 1] >> dst & 1:
+                break
+            earlier |= 1 << dst
+        run.append((sid(t, tid), EPSILON if i else a, sid(t + 1, dst)))
+        tid = dst
+    explored = closure.states + below.bit_count() + (earlier & layers[last] & ~below).bit_count() + 1
+    if explored > (limit := state_budget()):
+        raise BudgetExceeded.exploring("nodding", limit)
+    return Decision(False, tuple(run), explored, closure.transitions)
+
+
 def decide_empty(bundle: InstanceBundle) -> Decision:
     """Decide whether the intersection of the bundle's languages is empty.
 
-    The word-parallel closure decides first.  If it closes the accessible
-    part without meeting a final tuple, the instance is empty and the
-    closure's counts are the Decision's.  If it meets final tuples, the
-    breadth-first search runs for the witness, testing finality against the
-    tuples the closure's last layer met.  If its guard hands the bundle
-    back, the search decides alone, as it did before the closure existed.
-    Raises BudgetExceeded exactly when the search alone would.
+    The word-parallel closure decides.  If it closes the accessible part
+    without meeting a final tuple, the instance is empty and the closure's
+    counts are the Decision's; otherwise the witness run and the counts
+    come from its letter layers.  Only when its guard hands the bundle back
+    does the breadth-first search ``_search`` decide instead.  Either way
+    the Decision is the one ``_search`` returns, and BudgetExceeded is
+    raised exactly when ``_search`` would raise it.
     """
-    closure = nodding_closure(bundle.prepared)
-    if closure is not None and not closure.finals:
+    closure = bundle.prepared.closure()
+    if closure is None:
+        return _search(builder_for("nodding", bundle))
+    if not closure.finals:
         return Decision(True, None, closure.states, closure.transitions)
-    builder = builder_for("nodding", bundle)
-    # the search stops at the first final state it meets, one of the base
-    # tuples the closure's last layer met: a set lookup beats is_final
-    if closure is None or closure.finals.bit_count() > _FINAL_SET_LIMIT:
-        return _search(builder)
-    return _search(builder, _members(closure.finals).__contains__)
+    return _from_layers(bundle, closure)
 
 
 def decide_direct_baseline(bundle: InstanceBundle) -> Decision:

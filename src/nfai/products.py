@@ -24,8 +24,11 @@ table.
 
 The nodding product is also explored word-parallel: ``nodding_closure``
 holds each set of reached tuples as one bitmask over the tuple space and
-moves a whole set through a petal in k masked-shift passes, under a work
-guard that hands thin accessible parts in large tuple spaces back to the
+moves a whole set through a petal in k masked-shift passes.  It keeps one
+mask per copy and one base-copy layer per word length, so a single forward
+pass decides both outcomes: it counts what the list search would explore,
+and the layers hold what the decision needs to rebuild the witness run.  A
+work guard hands thin accessible parts in large tuple spaces back to the
 state-by-state walk.
 
 All constructions share a mixed-radix state encoding with the copy tag most
@@ -272,12 +275,23 @@ class PreparedBundle:
     """Per-bundle tables for the builders, the decision, the cut extraction
     and both cut verifiers, kept as ``InstanceBundle.prepared``, each built on
     first use and keyed only by states that move, so they cost what the
-    transitions cost, not what n does.  The state budget is never cached."""
+    transitions cost, not what n does.  The state budget is never cached:
+    the nodding closure is kept with the budget it ran under."""
 
     def __init__(self, bundle: InstanceBundle):
         self.automata = bundle.automata  # not the bundle: no cycle through its cache
         self.space = ProductSpace([a.n_states for a in bundle.automata], 1)  # one copy
         self.initial = self.space.encode([a.initial for a in bundle.automata])
+        self._closure = (None, None)  # (state budget, its nodding closure)
+
+    def closure(self) -> Optional["NoddingClosure"]:
+        """:func:`nodding_closure` of this bundle, run once per state budget
+        in force; a call that raises BudgetExceeded keeps nothing, so the
+        next call under that budget raises again."""
+        limit = state_budget()
+        if self._closure[0] != limit:
+            self._closure = (limit, nodding_closure(self))
+        return self._closure[1]
 
     @cached_property
     def final_mask(self) -> int:
@@ -301,58 +315,64 @@ class PreparedBundle:
         )
 
 
-#: The closure's work guard, in 64-bit words of big-int work.  Moves run at
-#: about 1.8 ns per word on a 2-vCPU VM, and the list search spends about
-#: 8 us per state on the parity-split benchmark instances, so 2000 words per
-#: reached state keeps the closure under half the search's cost; the fixed
-#: allowance, some 15 ms of moves, covers small instances.  Unguarded, two
-#: one-letter chains of 400 and 800 states cost the closure 1.4 s and 24 s,
-#: against milliseconds for the search.
-CLOSURE_WORDS = 1 << 23
+#: The closure's work guard, in 64-bit words of big-int work: a move costs
+#: a pass over the tuple space for each state that moves, however few
+#: tuples its set holds.  On a 2-vCPU VM (Python 3.11) the list search
+#: spends 7-8 us per state and the closure 2-3 ns per word, so 2000
+#: words per state reached keeps the closure below the search's cost.  The
+#: fixed allowance pays for the first layers, which reach few states: the
+#: dense k=5 clique benchmark instance (24 vertices) spends 10.7 M words
+#: on its first letter layer for 73 states.  A layer whose front of new base
+#: tuples at least doubles is not charged, since the states it reaches
+#: outnumber all earlier ones and a front can double only log2 of the tuple
+#: space times; that keeps dense cliques, whose fronts grow 1, 24, 276,
+#: 1542, 4392 there, on the closure.  Fronts of thin instances do not
+#: grow: two 200-state one-letter chains hand back after 67 layers (about
+#: 12 ms), two 3000-state chains before their first move (421 M words).
+CLOSURE_WORDS = 1 << 24
 CLOSURE_WORDS_PER_STATE = 2000
 
 
 @dataclass(frozen=True)
 class NoddingClosure:
-    """The nodding product's accessible part as tuple sets, from
-    :func:`nodding_closure`.
+    """The nodding product's accessible part up to its first final layer, as
+    tuple sets, from :func:`nodding_closure`.
 
-    ``finals`` is the mask of the final tuples reached by the shortest
-    words that reach any; it is 0 exactly when the intersection is empty,
-    and only then do the other fields hold the whole accessible part:
-    ``base`` its base-copy tuples, ``petals[a]`` its tuples of the copies
-    (a, 1) ... (a, k-1), for each letter a that component 0 moves on, and
-    ``states`` and ``transitions`` its size, counted as the list search
-    counts them.
+    ``layers[d]`` holds the base tuples first reached by a word of length d,
+    one product step per component and letter, so at distance ``d * k``;
+    ``finals`` is the last layer's meet with the final mask, 0 exactly when
+    the intersection is empty.  ``base`` is the union of the layers and
+    ``petals[a][i]`` the tuples of copy (a, i + 1) reached from them, for
+    each letter a that component 0 moves on.  ``states`` and
+    ``transitions`` count the product states nearer than the last layer and
+    their moves, as the list search counts them: on an empty instance, the
+    whole accessible part.
     """
 
     finals: int
+    layers: tuple
     base: int
     petals: Dict[int, tuple]
     states: int
     transitions: int
 
 
-class _GuardTripped(Exception):
-    """The closure's work outgrew its guard."""
-
-
 def nodding_closure(prepared: PreparedBundle) -> Optional[NoddingClosure]:
     """Close the base-copy tuples of the nodding product under whole petals,
     one letter layer at a time and one bitmask per set:
     ``front = OR over a of petal_a(front) & ~seen``, where petal a moves
-    each component in turn on letter a by :meth:`ProductSpace.move`.  Only
-    the letters component 0 moves on are visited.  It stops at the first
-    layer that meets the final mask; on an empty instance one more pass of
-    every petal over the closed set gives the petal copies and the counts.
+    each component in turn on letter a by :meth:`ProductSpace.move_counting`
+    and drops the tuples its copies already hold.  Only the letters
+    component 0 moves on are visited.  It stops at the first layer that
+    meets the final mask, or when no new tuple is reached.
 
     Returns None, for the caller to walk the product by lists instead, when
-    the tuple space exceeds the state budget or when the work so far, as
-    columns moved times the tuple space's machine words, exceeds
+    the tuple space exceeds the state budget or when the work charged so
+    far, as columns moved times the tuple space's machine words, exceeds
     ``CLOSURE_WORDS`` plus ``CLOSURE_WORDS_PER_STATE`` per product state
-    reached (counted once per move that reaches it): a move costs a pass
-    over the whole tuple space however few tuples it holds, so a thin
-    accessible part is cheaper by lists.
+    reached; a layer whose new front is at least twice the one it grew from
+    is not charged.  A move costs a pass over the whole tuple space however
+    few tuples it holds, so a thin accessible part is cheaper by lists.
     Raises BudgetExceeded, as the list search would, when the accessible
     part of an empty instance holds more states than the budget.
     """
@@ -361,53 +381,45 @@ def nodding_closure(prepared: PreparedBundle) -> Optional[NoddingClosure]:
     if space.base_size > limit:
         return None
     moving = [a for a, lists in enumerate(letters[0]) if lists]
+    petals = {a: [0] * (len(letters) - 1) for a in moving}
     words = (space.base_size + 63) // 64
-    work = 0
-    reached = 1
-
-    def petal(mask: int, a: int, counting: bool) -> Tuple[list, int]:
-        """The k sets letter a's petal passes through from ``mask``, the
-        last one back in the base copy, and the single moves made if
-        ``counting``."""
-        nonlocal work, reached
-        sets, transitions = [], 0
-        for i, component in enumerate(letters):
-            if mask:
+    final_mask = prepared.final_mask
+    seen = front = 1 << prepared.initial
+    layers, states, transitions, work, width = [front], 0, 0, 0, 1
+    while not front & final_mask:
+        states += width
+        spent, landed = work, 0
+        for a in moving:
+            mask, copies = front, petals[a]
+            for i, component in enumerate(letters):
                 targets = component[a]
                 work += len(targets) * words
-                if work > CLOSURE_WORDS + CLOSURE_WORDS_PER_STATE * reached:
-                    raise _GuardTripped
-                if counting:
-                    mask, moves = space.move_counting(mask, i, targets)
-                    transitions += moves
-                else:
-                    mask = space.move(mask, i, targets)
-                reached += mask.bit_count()
-            sets.append(mask)
-        return sets, transitions
-
-    try:
-        seen = front = 1 << prepared.initial
-        final_mask = prepared.final_mask
-        while front and not front & final_mask:
-            landed = 0
-            for a in moving:
-                landed |= petal(front, a, False)[0][-1]
-            front = landed & ~seen
-            seen |= front
-        if front:
-            return NoddingClosure(front & final_mask, seen, {}, 0, 0)
-        petals, transitions = {}, 0
-        for a in moving:
-            sets, moves = petal(seen, a, True)
-            petals[a] = tuple(sets[:-1])
-            transitions += moves
-    except _GuardTripped:
-        return None
-    states = seen.bit_count() + sum(s.bit_count() for sets in petals.values() for s in sets)
-    if states > limit:
+                if work > CLOSURE_WORDS + CLOSURE_WORDS_PER_STATE * states:
+                    return None
+                mask, moves = space.move_counting(mask, i, targets)
+                transitions += moves
+                if i < len(copies):
+                    mask &= ~copies[i]
+                    copies[i] |= mask
+                    states += mask.bit_count()
+                if not mask:
+                    break
+            else:
+                landed |= mask
+        front = landed & ~seen
+        if not front:
+            break
+        grown = front.bit_count()
+        if grown >= 2 * width:
+            work = spent  # a front that doubles pays for its layer
+        width = grown
+        seen |= front
+        layers.append(front)
+    finals = front & final_mask
+    if not finals and states > limit:
         raise BudgetExceeded.exploring("nodding", limit)
-    return NoddingClosure(0, seen, petals, states, transitions)
+    petals = {a: tuple(copies) for a, copies in petals.items()}
+    return NoddingClosure(finals, tuple(layers), seen, petals, states, transitions)
 
 
 class ProductBuilder:

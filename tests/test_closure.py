@@ -1,8 +1,8 @@
 """The word-parallel nodding closure, ``products.nodding_closure``, against
-the list engines it stands in for: ``decision._search`` for answers and both
-counters, the ``products.reachable`` walk for every cut subset, and both for
-the state budget.  Its work guard is checked on bundles whose tuple space is
-far larger than their accessible part.
+the list engines it stands in for: ``decision._search`` for whole Decisions,
+witness runs included, the ``products.reachable`` walk for every cut subset,
+and both for the state budget.  Its work guard is checked on bundles whose
+tuple space is far larger than their accessible part and on dense cliques.
 """
 
 import os
@@ -18,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nfai
-from nfai import decision, products
+from nfai import products
 from nfai.automata import InstanceBundle, Nfa
-from nfai.certificates import _cut_by_walk, extract_staggered_cut
+from nfai.certificates import _cut_by_walk, extract_short_pathset, extract_staggered_cut, verify_short_pathset
 from nfai.decision import _search, decide_empty
+from nfai.hardness import clique_bundle, random_graph
 from nfai.products import BudgetExceeded, builder_for, nodding_closure
 
 from helpers import acceptance_corpus
@@ -46,8 +47,12 @@ def _check_against_list_engines(bundle):
     assert closure is not None  # small tuple spaces never trip the guard
     assert (closure.finals == 0) == reference.empty
     assert closure.finals & ~bundle.prepared.final_mask == 0
-    assert decide_empty(_fresh(bundle)) == reference
+    decided = decide_empty(_fresh(bundle))
+    assert decided == reference  # the answer, the witness run and both counters
     if not reference.empty:
+        pathset = extract_short_pathset(bundle, decided)
+        assert pathset == extract_short_pathset(bundle, reference)
+        assert verify_short_pathset(bundle, pathset)
         with pytest.raises(ValueError):
             extract_staggered_cut(bundle)
         return False
@@ -76,7 +81,8 @@ def bundles(draw):
         n = draw(st.integers(1, 5))
         states = st.integers(0, n - 1)
         moves = draw(st.lists(st.tuples(states, st.integers(0, letters - 1), states), max_size=3 * n * letters))
-        finals = draw(st.sets(states, max_size=n))
+        # a varying lower bound makes about a third of the bundles non-empty
+        finals = draw(st.sets(states, min_size=draw(st.integers(0, n)), max_size=n))
         automata.append(Nfa(n, letters, tuple(moves), draw(states), frozenset(finals)))
     return InstanceBundle(tuple(automata))
 
@@ -97,9 +103,10 @@ def _budget(limit):
 def _check_budget_alike(bundle):
     """With the budget at the states the list search explores, both engines
     pass; with one less, both raise, and extraction follows the walk's
-    outcome exactly.  Returns how many of these runs the closure answered."""
+    outcome exactly.  Returns how many of these runs the closure answered,
+    on empty and on non-empty bundles."""
     reference = _search(builder_for("nodding", bundle))
-    explored, closure_runs = reference.explored_states, 0
+    explored, closure_runs = reference.explored_states, [0, 0]
     for limit in (explored, explored - 1):
         with _budget(limit):
             probe = _fresh(bundle)
@@ -110,7 +117,7 @@ def _check_budget_alike(bundle):
             if reference.empty:
                 walked = _outcome(lambda: (probe.prepared.space.check_tuple_budget(), _cut_by_walk(probe))[1])
                 assert _outcome(lambda: extract_staggered_cut(_fresh(bundle))) == walked, limit
-                closure_runs += probe.prepared.space.base_size <= limit  # not the fallback
+            closure_runs[reference.empty] += probe.prepared.space.base_size <= limit  # not the fallback
     return closure_runs
 
 
@@ -122,7 +129,14 @@ def test_closure_matches_list_engines_on_random_bundles(bundle):
 
 
 def test_budget_raises_alike_at_the_explored_count(corpus):
-    assert sum(_check_budget_alike(bundle) for _, bundle in corpus) > 10
+    runs = [_check_budget_alike(bundle) for _, bundle in corpus]
+    assert min(map(sum, zip(*runs))) > 10  # on non-empty and on empty bundles
+
+
+@pytest.mark.parametrize("k, seed", [(4, 0), (4, 1), (4, 2), (5, 1), (5, 2), (5, 3)])
+def test_closure_matches_list_engines_on_dense_cliques(k, seed):
+    bundle = clique_bundle(random_graph(8, 0.8, seed), k)
+    assert not _check_against_list_engines(bundle)  # each of these graphs has a k-clique
 
 
 def test_forced_fallback_gives_the_same_results(corpus, monkeypatch):
@@ -143,12 +157,43 @@ def test_forced_fallback_gives_the_same_results(corpus, monkeypatch):
     assert results() == closure
 
 
-def test_many_final_tuples_are_tested_by_the_builder(corpus, monkeypatch):
-    monkeypatch.setattr(decision, "_FINAL_SET_LIMIT", 0)
-    nonempty = [bundle for _, bundle in corpus if nodding_closure(bundle.prepared).finals]
-    assert nonempty
-    for bundle in nonempty:
-        assert decide_empty(_fresh(bundle)) == _search(builder_for("nodding", bundle))
+def test_closure_witness_among_many_final_tuples():
+    """The first final layer holds 299 * 299 final tuples; the witness is the
+    first of them that the list search meets."""
+    n = 300
+    a = Nfa(n, 1, tuple((0, 0, q) for q in range(1, n)), 0, frozenset(range(1, n)))
+    bundle = InstanceBundle((a, a))
+    assert nodding_closure(bundle.prepared).finals.bit_count() == (n - 1) ** 2 > 1 << 16
+    decided = decide_empty(_fresh(bundle))
+    assert decided == _search(builder_for("nodding", bundle))
+    assert decided.explored_states == n + 1
+
+
+def _complete_without_finals():
+    """Two complete 3-state one-letter automata with no final state: empty,
+    with 18 accessible states in a 9-tuple space."""
+    a = Nfa(3, 1, tuple((p, 0, q) for p in range(3) for q in range(3)), 0, frozenset())
+    return InstanceBundle((a, a))
+
+
+def test_certify_runs_the_closure_once_per_budget(monkeypatch):
+    runs = []
+    closure = products.nodding_closure
+    monkeypatch.setattr(products, "nodding_closure", lambda prepared: runs.append(1) or closure(prepared))
+    bundle = _complete_without_finals()
+    decided = decide_empty(bundle)
+    cut = extract_staggered_cut(bundle)
+    assert (decided.explored_states, len(runs)) == (18, 1)
+    with _budget(17):  # a changed budget runs the closure again, which raises
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded):
+                decide_empty(bundle)
+            with pytest.raises(BudgetExceeded):
+                extract_staggered_cut(bundle)
+    assert len(runs) == 5
+    with _budget(18):
+        assert (decide_empty(bundle), extract_staggered_cut(bundle)) == (decided, cut)
+    assert len(runs) == 6
 
 
 def test_letters_without_moves_share_one_table():
@@ -168,11 +213,13 @@ def _chains(n):
     return InstanceBundle((chain(n - 1), chain(n - 2)))
 
 
-def test_guard_hands_long_chains_to_the_list_engines():
+def test_guard_hands_long_chains_to_the_list_engines(monkeypatch):
     bundle = _chains(3000)  # 9,000,000 tuples: under the default state budget
     assert bundle.prepared.space.base_size <= products.state_budget()
     started = time.perf_counter()
-    assert nodding_closure(bundle.prepared) is None
+    with monkeypatch.context() as patched:  # handed back before the first move
+        patched.setattr(products.ProductSpace, "move_counting", None)
+        assert nodding_closure(bundle.prepared) is None
     result = decide_empty(bundle)
     decided = time.perf_counter() - started
     assert (result.empty, result.explored_states, result.explored_transitions) == (True, 5999, 5998)
@@ -181,6 +228,16 @@ def test_guard_hands_long_chains_to_the_list_engines():
     cut = extract_staggered_cut(_chains(3000))
     assert time.perf_counter() - started < 5
     assert cut.set_for(0, 0).bit_count() == 3000 and cut.set_for(1, 0).bit_count() == 2999
+
+
+def test_guard_keeps_dense_cliques_on_the_closure():
+    """The dense k=5 clique bundle of the console-script round trip: its
+    first letter layer costs about 10.7 M words for 73 states, and every
+    later front at least doubles."""
+    bundle = clique_bundle(random_graph(24, 0.5, 1), 5)
+    closure = nodding_closure(bundle.prepared)
+    assert closure is not None and closure.finals
+    assert decide_empty(_fresh(bundle)) == _search(builder_for("nodding", bundle))
 
 
 def test_guard_keeps_short_chains_on_the_closure():
