@@ -39,7 +39,7 @@ from typing import List, Optional, Union
 from .automata import EPSILON, InstanceBundle, RunViolation, run_is_accepting, validate_run
 from .boolmatrix import BoolMatrix
 from .decision import Decision
-from .products import ProductSpace, builder_for, reachable
+from .products import ProductSpace, builder_for, nodding_copy, nodding_tag, reachable
 
 CERT_MAGIC = "nfa-cert v1"
 
@@ -121,8 +121,7 @@ def extract_short_pathset(bundle: InstanceBundle, decision: Decision) -> ShortPa
     """
     if decision.witness_run is None:
         raise ValueError("cannot extract a pathset from an empty instance")
-    builder = builder_for("nodding", bundle)
-    space = builder.space
+    space = bundle.prepared.space
     k = bundle.k
     word: List[int] = []
     runs: List[List[tuple]] = [[] for _ in range(k)]
@@ -130,16 +129,17 @@ def extract_short_pathset(bundle: InstanceBundle, decision: Decision) -> ShortPa
         src_comps, src_tag = space.decode(src)
         dst_comps, dst_tag = space.decode(dst)
         if label != EPSILON:
-            if src_tag != 0:
+            if src_tag != 0 or dst_tag == 0:
                 raise ValueError("witness run is not a nodding-product run")
-            letter, volley = builder.tag_value(dst_tag)
+            letter, volley = nodding_tag(dst_tag, k)
             if volley != 1 or letter != label:
                 raise ValueError("witness run is not a nodding-product run")
             word.append(letter)
             comp = 0
         else:
-            letter, volley = builder.tag_value(src_tag)
-            comp = volley
+            if src_tag == 0:
+                raise ValueError("witness run is not a nodding-product run")
+            letter, comp = nodding_tag(src_tag, k)
         runs[comp].append((src_comps[comp], letter, dst_comps[comp]))
     return ShortPathset(tuple(word), tuple(tuple(r) for r in runs))
 
@@ -221,7 +221,7 @@ def _cut_by_walk(bundle: InstanceBundle) -> StaggeredCut:
         tag, rest = divmod(sid, base_size)
         members[tag].append(rest)
     masks = [_mask_of(tids, base_size) for tids in members]
-    volleys = [masks[builder.tag_index[(letter, i)]] for i in range(1, k) for letter in range(l)]
+    volleys = [masks[nodding_copy(letter, i, k)] for i in range(1, k) for letter in range(l)]
     return StaggeredCut(l, builder.sizes, tuple([masks[0]] * l + volleys))
 
 

@@ -30,7 +30,7 @@ from typing import Optional
 
 from .automata import EPSILON, InstanceBundle, Word
 from .products import (
-    BudgetExceeded, NoddingClosure, ProductBuilder, builder_for, state_budget,
+    BudgetExceeded, NoddingClosure, ProductBuilder, builder_for, nodding_copy, state_budget,
 )
 
 
@@ -185,11 +185,10 @@ def _from_layers(bundle: InstanceBundle, closure: NoddingClosure) -> Decision:
     for t in range(len(steps) - 1, -1, -1):
         i, a = steps[t]
         live[t] = space.move(live[t + 1], i, inverse[a][i])
-    builder = builder_for("nodding", bundle)
-    base_size, copy = space.base_size, builder.tag_index
+    base_size = space.base_size
 
     def sid(t: int, tid: int) -> int:
-        return tid if t % k == 0 else copy[(word[t // k], t % k)] * base_size + tid
+        return tid if t % k == 0 else nodding_copy(word[t // k], t % k, k) * base_size + tid
 
     # the run takes the least successor that stays live at each step;
     # earlier: the tuples the word reaches through a run below it so far

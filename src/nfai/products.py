@@ -22,14 +22,18 @@ the component states a final tuple of each copy needs - and
 ``ProductBuilder`` reads successors, finality and size totals off that
 table.
 
-The nodding product is also explored word-parallel: ``nodding_closure``
-holds each set of reached tuples as one bitmask over the tuple space and
-moves a whole set through a petal in k masked-shift passes.  It keeps one
-mask per copy and one base-copy layer per word length, so a single forward
-pass decides both outcomes: it counts what the list search would explore,
-and the layers hold what the decision needs to rebuild the witness run.  A
-work guard hands thin accessible parts in large tuple spaces back to the
-state-by-state walk.
+Every sparse construction is also explored word-parallel, holding each set
+of reached tuples as one bitmask over the tuple space and moving a whole
+set through a volley in one masked-shift pass.  ``copy_closure`` closes a
+builder's copy table, one seen-mask per copy, and gives the accessible
+sizes and finality behind ``accessible_stats``.  ``nodding_closure`` closes
+the nodding product's base copy under whole petals and keeps one base-copy
+layer per word length, so a single forward pass decides both outcomes: it
+counts what the list search would explore, and the layers hold what the
+decision needs to rebuild the witness run.  Both share one work guard,
+which hands thin accessible parts in large tuple spaces back to the
+state-by-state walk.  The nodding copies are numbered arithmetically
+(``nodding_copy``), so a witness run is read without building the table.
 
 All constructions share a mixed-radix state encoding with the copy tag most
 significant and component 0 least significant, so tuples of the tag-0 copy
@@ -246,14 +250,19 @@ def _reach_rows(letters: tuple, max_len: int) -> Dict[tuple, dict]:
 def m_leq_k(bundle: InstanceBundle) -> int:
     """Largest word-reachability relation over all components and words of
     length <= k, as a count of (source, target) pairs; never exceeds n^2.
-    The empty word's n pairs are counted, not built, and one component's
-    sparse reach rows are held at a time."""
+    The empty word's n pairs are counted, not built.  The prepared
+    successor lists per word are read when a builder has built them;
+    otherwise one component's sparse reach rows are held at a time."""
     k, most = bundle.k, 0
-    for a, letters in zip(bundle.automata, bundle.prepared.letters):
-        # each table is dropped before the next is built
-        largest = max((sum(map(int.bit_count, rows.values())) for rows in _reach_rows(letters, k).values()),
-                      default=0)
-        most = max(most, a.n_states, largest)
+    prepared = bundle.prepared
+    built = vars(prepared).get("words")  # the cached_property, if catch-up or leapfrog built it
+    for i, (a, letters) in enumerate(zip(bundle.automata, prepared.letters)):
+        if built is None:
+            # each table is dropped before the next is built
+            sizes = (sum(map(int.bit_count, rows.values())) for rows in _reach_rows(letters, k).values())
+        else:
+            sizes = (sum(map(len, lists.values())) for lists in built[i].values())
+        most = max(most, a.n_states, max(sizes, default=0))
     return most
 
 
@@ -329,8 +338,16 @@ class PreparedBundle:
 #: 1542, 4392 there, on the closure.  Fronts of thin instances do not
 #: grow: two 200-state one-letter chains hand back after 67 layers (about
 #: 12 ms), two 3000-state chains before their first move (421 M words).
+#: ``copy_closure`` charges its volleys against the same guard, without the
+#: refund, and hands those chains back before its first move too.
 CLOSURE_WORDS = 1 << 24
 CLOSURE_WORDS_PER_STATE = 2000
+
+
+def _overworked(work: int, states: int) -> bool:
+    """The closures' work guard: ``work`` words charged so far against the
+    ``states`` product states reached."""
+    return work > CLOSURE_WORDS + CLOSURE_WORDS_PER_STATE * states
 
 
 @dataclass(frozen=True)
@@ -394,7 +411,7 @@ def nodding_closure(prepared: PreparedBundle) -> Optional[NoddingClosure]:
             for i, component in enumerate(letters):
                 targets = component[a]
                 work += len(targets) * words
-                if work > CLOSURE_WORDS + CLOSURE_WORDS_PER_STATE * states:
+                if _overworked(work, states):
                     return None
                 mask, moves = space.move_counting(mask, i, targets)
                 transitions += moves
@@ -527,9 +544,6 @@ class ProductBuilder:
             for comp, lists, _, _ in moves
         )
 
-    def tag_value(self, tag_index: int):
-        return self.tags[tag_index]
-
 
 class _DirectBuilder(ProductBuilder):
     """One copy and no volleys: all components move at once, so the
@@ -556,6 +570,21 @@ class _DirectBuilder(ProductBuilder):
         )
 
 
+def nodding_copy(letter: int, j: int, k: int) -> int:
+    """Position of the nodding product's copy ``(letter, j)``, 1 <= j < k:
+    the base copy first, then each letter's petal copies in volley order.
+    Computed, not looked up, so the decision and the certificates number
+    the copies of a witness run without building a table per letter."""
+    return 1 + letter * (k - 1) + j - 1
+
+
+def nodding_tag(copy: int, k: int) -> tuple:
+    """The ``(letter, j)`` tag of the petal copy at position ``copy`` >= 1;
+    the inverse of :func:`nodding_copy`."""
+    letter, j = divmod(copy - 1, k - 1)
+    return letter, j + 1
+
+
 class _NoddingBuilder(ProductBuilder):
     """A flower of one petal per letter, glued at the base copy.  From the
     base, component 0 reads the letter into copy ``(letter, 1)``; from copy
@@ -566,7 +595,7 @@ class _NoddingBuilder(ProductBuilder):
     epsilon = True
 
     def _tags(self) -> list:
-        return ["base"] + [(letter, j) for letter in range(self.n_letters) for j in range(1, self.k)]
+        return ["base"] + [nodding_tag(copy, self.k) for copy in range(1, 1 + self.n_letters * (self.k - 1))]
 
     def _volleys(self, tag) -> list:
         if tag == "base":
@@ -761,6 +790,58 @@ def reachable(builder: ProductBuilder, budget: Optional[int] = None):
                 order.append(dst)
 
 
+def copy_closure(builder: ProductBuilder, budget: Optional[int] = None) -> Optional[Tuple[int, int, bool]]:
+    """The accessible part of a sparse construction, counted on bitmasks, as
+    ``(states, transitions, nonempty)``.
+
+    Each copy of the builder's table keeps one seen-mask over the one-copy
+    tuple space.  A level at a time, every copy's front moves through each
+    volley leaving it by :meth:`ProductSpace.move_counting`, and the target
+    copy drops the tuples it has already seen.  ``states`` sums the new
+    tuples and ``transitions`` the single moves, so both equal the list
+    walk's counts: each state is in one front, and each move count is the
+    sum of its members' successor lists.  ``nonempty`` tells whether some
+    copy's seen-mask meets that copy's final tuples.
+
+    Returns None, for the caller to walk by lists instead, when the tuple
+    space exceeds the state budget or when the work charged, the moved
+    columns times the tuple space's machine words, outgrows the reached
+    states by the nodding closure's guard.  Raises BudgetExceeded, as the
+    walk does, exactly when the accessible part holds more states than
+    ``state_budget(budget)``.
+    """
+    space = builder.prepared.space
+    limit = state_budget(budget)
+    if space.base_size > limit:
+        return None
+    words = (space.base_size + 63) // 64
+    seen = [0] * len(builder.moves)
+    seen[0] = 1 << builder.initial
+    fronts, states, transitions, work = {0: seen[0]}, 1, 0, 0
+    while fronts:
+        reached: Dict[int, int] = {}
+        for t, front in fronts.items():
+            for component, lists, _, nxt in builder.moves[t]:
+                if not lists:
+                    continue
+                work += len(lists) * words
+                if _overworked(work, states):
+                    return None
+                moved, moves = space.move_counting(front, component, lists)
+                transitions += moves
+                fresh = moved & ~seen[nxt]
+                if fresh:
+                    seen[nxt] |= fresh
+                    reached[nxt] = reached.get(nxt, 0) | fresh
+                    states += fresh.bit_count()
+                    if states > limit:
+                        raise BudgetExceeded.exploring(builder.construction, limit)
+        fronts = reached
+    nonempty = any(mask & space.product_mask(accept)
+                   for mask, accept in zip(seen, builder.accept) if mask and accept is not None)
+    return states, transitions, nonempty
+
+
 def _stats(builder: ProductBuilder, bundle: InstanceBundle, states_acc: int, trans_acc: int) -> SparsityStats:
     return SparsityStats(
         construction=builder.construction,
@@ -804,8 +885,17 @@ def accessible_stats(
     construction: str, bundle: InstanceBundle, budget: Optional[int] = None
 ) -> Tuple[SparsityStats, bool]:
     """Counting-only exploration: statistics plus whether any final state is
-    reachable, without storing the sub-automaton."""
+    reachable, without storing the sub-automaton.
+
+    The four sparse constructions are counted by :func:`copy_closure` on
+    bitmasks; when its work guard hands the call back, and always for
+    ``direct``, the baseline the sparse sizes are compared with, the
+    ``reachable`` walk counts one successor list at a time.  Both give the
+    same counts and raise BudgetExceeded in the same cases."""
     builder = builder_for(construction, bundle)
-    visits = [(sid, len(successors)) for sid, successors in reachable(builder, budget)]
-    nonempty = any(builder.is_final(sid) for sid, _ in visits)
-    return _stats(builder, bundle, len(visits), sum(n for _, n in visits)), nonempty
+    counted = None if construction == "direct" else copy_closure(builder, budget)
+    if counted is None:
+        visits = [(sid, len(successors)) for sid, successors in reachable(builder, budget)]
+        counted = (len(visits), sum(n for _, n in visits), any(builder.is_final(sid) for sid, _ in visits))
+    states, transitions, nonempty = counted
+    return _stats(builder, bundle, states, transitions), nonempty

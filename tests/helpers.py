@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 
+from hypothesis import strategies as st
+
 from nfai.automata import InstanceBundle, Nfa, accepts
 from nfai.hardness import UndirectedGraph, random_bundle
 from nfai.relations import MultiTapeAutomaton, multitape_accepts
@@ -45,6 +47,30 @@ def complete_empty_bundle() -> InstanceBundle:
     n, l = 3, 2
     complete = tuple((p, s, q) for p in range(n) for s in range(l) for q in range(n))
     return InstanceBundle((Nfa(n, l, complete, 0, frozenset()), Nfa(n, l, complete, 0, frozenset({0}))))
+
+
+@st.composite
+def bundles(draw, max_k: int = 4):
+    """Hypothesis bundles: k from 2 to ``max_k`` components of 1-5 states
+    over 1-3 letters, with random moves, initial states and finals."""
+    k, letters = draw(st.integers(2, max_k)), draw(st.integers(1, 3))
+    automata = []
+    for _ in range(k):
+        n = draw(st.integers(1, 5))
+        states = st.integers(0, n - 1)
+        moves = draw(st.lists(st.tuples(states, st.integers(0, letters - 1), states), max_size=3 * n * letters))
+        # a varying lower bound makes about a third of the bundles non-empty
+        finals = draw(st.sets(states, min_size=draw(st.integers(0, n)), max_size=n))
+        automata.append(Nfa(n, letters, tuple(moves), draw(states), frozenset(finals)))
+    return InstanceBundle(tuple(automata))
+
+
+def chains(n: int) -> InstanceBundle:
+    """Two n-state one-letter chains, final at their ends one apart: empty,
+    with about 2n accessible nodding states in an n * n tuple space."""
+    def chain(final):
+        return Nfa(n, 1, tuple((q, 0, q + 1) for q in range(n - 1)), 0, frozenset({final}))
+    return InstanceBundle((chain(n - 1), chain(n - 2)))
 
 
 #: Word encoding the unique 4-clique of :func:`example_clique_graph`,

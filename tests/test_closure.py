@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import nfai
 from nfai import products
@@ -25,7 +24,7 @@ from nfai.decision import _search, decide_empty
 from nfai.hardness import clique_bundle, random_graph
 from nfai.products import BudgetExceeded, builder_for, nodding_closure
 
-from helpers import acceptance_corpus
+from helpers import acceptance_corpus, bundles, chains
 
 
 def _fresh(bundle):
@@ -71,20 +70,6 @@ def corpus():
 def test_closure_matches_list_engines_on_corpus(corpus):
     empties = sum(_check_against_list_engines(bundle) for _, bundle in corpus)
     assert 0 < empties < len(corpus)
-
-
-@st.composite
-def bundles(draw):
-    k, letters = draw(st.integers(2, 4)), draw(st.integers(1, 3))
-    automata = []
-    for _ in range(k):
-        n = draw(st.integers(1, 5))
-        states = st.integers(0, n - 1)
-        moves = draw(st.lists(st.tuples(states, st.integers(0, letters - 1), states), max_size=3 * n * letters))
-        # a varying lower bound makes about a third of the bundles non-empty
-        finals = draw(st.sets(states, min_size=draw(st.integers(0, n)), max_size=n))
-        automata.append(Nfa(n, letters, tuple(moves), draw(states), frozenset(finals)))
-    return InstanceBundle(tuple(automata))
 
 
 @contextmanager
@@ -205,16 +190,8 @@ def test_letters_without_moves_share_one_table():
 
 # --- the work guard ------------------------------------------------------------------
 
-def _chains(n):
-    """Two n-state one-letter chains, final at their ends one apart: empty,
-    with about 2n accessible states in an n * n tuple space."""
-    def chain(final):
-        return Nfa(n, 1, tuple((q, 0, q + 1) for q in range(n - 1)), 0, frozenset({final}))
-    return InstanceBundle((chain(n - 1), chain(n - 2)))
-
-
 def test_guard_hands_long_chains_to_the_list_engines(monkeypatch):
-    bundle = _chains(3000)  # 9,000,000 tuples: under the default state budget
+    bundle = chains(3000)  # 9,000,000 tuples: under the default state budget
     assert bundle.prepared.space.base_size <= products.state_budget()
     started = time.perf_counter()
     with monkeypatch.context() as patched:  # handed back before the first move
@@ -225,7 +202,7 @@ def test_guard_hands_long_chains_to_the_list_engines(monkeypatch):
     assert (result.empty, result.explored_states, result.explored_transitions) == (True, 5999, 5998)
     assert decided < 5
     started = time.perf_counter()
-    cut = extract_staggered_cut(_chains(3000))
+    cut = extract_staggered_cut(chains(3000))
     assert time.perf_counter() - started < 5
     assert cut.set_for(0, 0).bit_count() == 3000 and cut.set_for(1, 0).bit_count() == 2999
 
@@ -241,22 +218,23 @@ def test_guard_keeps_dense_cliques_on_the_closure():
 
 
 def test_guard_keeps_short_chains_on_the_closure():
-    closure = nodding_closure(_chains(50).prepared)
+    closure = nodding_closure(chains(50).prepared)
     assert closure is not None and (closure.states, closure.transitions) == (99, 98)
 
 
-# two 2-state components declaring 2,000,000 letters, one transition
+# two 2-state components declaring 2,000,000 letters, one transition; the
+# second component ends the text, so appending its finals and a move to it
+# makes the bundle non-empty
 HUGE_ALPHABET_BUNDLE = (
     "nfa\nstates 2\nalphabet 2000000\ninitial 0\nfinal 1\ntrans 0 0 1\n"
     "---\nnfa\nstates 2\nalphabet 2000000\ninitial 0\n"
 )
 
 
-def test_huge_alphabet_decide_costs_its_moving_letters(tmp_path):
-    """Decided in a child process with NFAI_STATE_BUDGET=1000 and about
-    1 GB of address space, so a run that allocates per letter fails there."""
-    (tmp_path / "huge.nfa").write_text(HUGE_ALPHABET_BUNDLE)
-
+def _capped_cli(cwd, *args):
+    """``nfai *args`` in a child process with NFAI_STATE_BUDGET=1000 and
+    about 1 GB of address space, so a run that allocates per letter fails
+    there."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -264,9 +242,28 @@ def test_huge_alphabet_decide_costs_its_moving_letters(tmp_path):
     env = dict(os.environ, NFAI_STATE_BUDGET="1000",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-c", "import sys; from nfai.cli import main; sys.exit(main())", "decide", "huge.nfa"],
-        cwd=tmp_path, env=env, preexec_fn=cap, capture_output=True, text=True, timeout=10,
+        [sys.executable, "-c", "import sys; from nfai.cli import main; sys.exit(main())", *args],
+        cwd=cwd, env=env, preexec_fn=cap, capture_output=True, text=True, timeout=10,
     )
-    assert (done.returncode, "Traceback" in done.stderr) == (1, False), done.stderr
+    assert "Traceback" not in done.stderr, done.stderr
+    return done
+
+
+def test_huge_alphabet_decide_costs_its_moving_letters(tmp_path):
+    (tmp_path / "huge.nfa").write_text(HUGE_ALPHABET_BUNDLE)
+    done = _capped_cli(tmp_path, "decide", "huge.nfa")
+    assert done.returncode == 1, done.stderr
     assert done.stdout == "EMPTY\n"
     assert "explored_states=2 explored_transitions=1" in done.stderr
+
+
+def test_huge_alphabet_witness_costs_its_moving_letters(tmp_path):
+    """A non-empty bundle: the witness run's copies are numbered without
+    building the nodding product's table of 2,000,000 petals."""
+    (tmp_path / "huge.nfa").write_text(HUGE_ALPHABET_BUNDLE + "final 1\ntrans 0 0 1\n")
+    done = _capped_cli(tmp_path, "decide", "huge.nfa")
+    assert (done.returncode, done.stdout) == (0, "NONEMPTY 0\n"), done.stderr
+    assert "explored_states=3 explored_transitions=2" in done.stderr
+    assert _capped_cli(tmp_path, "certify", "huge.nfa", "-o", "huge.cert").returncode == 0
+    done = _capped_cli(tmp_path, "verify", "huge.nfa", "huge.cert")
+    assert (done.returncode, done.stdout) == (0, "VALID pathset\n"), done.stderr

@@ -18,6 +18,8 @@ from nfai.products import (
     builder_for,
     m_leq_k,
     materialize,
+    nodding_copy,
+    nodding_tag,
     reach_map,
     stats_csv_row,
 )
@@ -202,6 +204,20 @@ def test_m_leq_k_holds_one_table_at_a_time(monkeypatch):
     assert not alive and stats.m_leq_k == m_leq_k(bundle)
 
 
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+def test_reach_rows_built_once_per_stats_call(construction, monkeypatch):
+    # catch-up and leapfrog build the rows for their word lists, which
+    # m_leq_k then reads; the others build them in m_leq_k alone
+    import nfai.products as products
+
+    reach_rows, calls = products._reach_rows, []
+    monkeypatch.setattr(products, "_reach_rows", lambda letters, max_len: calls.append(1) or reach_rows(letters, max_len))
+    bundle = random_bundle(3, 3, 2, 0.6, "rows")
+    stats, _ = accessible_stats(construction, bundle)
+    assert len(calls) == bundle.k
+    assert stats.m_leq_k == m_leq_k(InstanceBundle(bundle.automata))
+
+
 def test_prepared_tables_freed_with_the_bundle():
     # the prepared tables must not point back at the bundle that caches
     # them: such a cycle would keep them alive until the cycle collector ran
@@ -242,6 +258,8 @@ def test_nodding_copy_count():
         bundle = random_bundle(k, 2, l, 0.5, ("copies", k, l))
         builder = builder_for("nodding", bundle)
         assert builder.space.n_tags == (k - 1) * l + 1
+        for tag, copy in builder.tag_index.items():
+            assert tag == "base" or (nodding_copy(*tag, k), nodding_tag(copy, k)) == (copy, tag)
 
 
 def test_nodding_size_bounds():
@@ -276,13 +294,13 @@ def test_nodding_volley_structure():
         dst_comps, dst_tag = space.decode(dst)
         if label != EPSILON:
             # a letter is consumed from the base copy; only component 0 moves
-            assert builder.tag_value(src_tag) == "base"
-            letter, volley = builder.tag_value(dst_tag)
+            assert builder.tags[src_tag] == "base"
+            letter, volley = builder.tags[dst_tag]
             assert (letter, volley) == (label, 1)
             assert src_comps[1:] == dst_comps[1:]
             assert (src_comps[0], label, dst_comps[0]) in bundle.automata[0].transitions
         else:
-            letter, volley = builder.tag_value(src_tag)
+            letter, volley = builder.tags[src_tag]
             assert 1 <= volley <= bundle.k - 1
             moved = volley
             for j in range(bundle.k):
@@ -290,9 +308,9 @@ def test_nodding_volley_structure():
                     assert src_comps[j] == dst_comps[j]
             assert (src_comps[moved], letter, dst_comps[moved]) in bundle.automata[moved].transitions
             if volley == bundle.k - 1:
-                assert builder.tag_value(dst_tag) == "base"
+                assert builder.tags[dst_tag] == "base"
             else:
-                assert builder.tag_value(dst_tag) == (letter, volley + 1)
+                assert builder.tags[dst_tag] == (letter, volley + 1)
 
 
 def test_nodding_language_small():

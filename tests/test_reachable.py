@@ -3,13 +3,19 @@ loop it replaced: a deque-driven BFS numbering states in an index dict.
 
 Every consumer of the core is compared with that reference on the whole
 acceptance corpus: ``accessible_part`` and ``accessible_stats`` for all five
-constructions, and ``extract_staggered_cut`` on the nodding product.
+constructions, and ``extract_staggered_cut`` on the nodding product.  The
+bitmask closure behind ``accessible_stats`` on the four sparse
+constructions, ``products.copy_closure``, is also compared with the
+``reachable`` walk it hands back to: on Hypothesis bundles, under a forced
+hand-back and at the state budget's boundary.
 """
 
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
 
+from nfai import products
 from nfai.automata import EpsilonNfa, InstanceBundle, Nfa
 from nfai.certificates import StaggeredCut, extract_staggered_cut
 from nfai.products import (
@@ -19,11 +25,14 @@ from nfai.products import (
     accessible_part,
     accessible_stats,
     builder_for,
+    copy_closure,
     reachable,
     state_budget,
 )
 
-from helpers import acceptance_corpus, complete_empty_bundle
+from helpers import acceptance_corpus, bundles, chains, complete_empty_bundle
+
+SPARSE = ("nodding", "echoing", "catchup", "leapfrog")
 
 
 def _explore_reference(builder, budget=None):
@@ -131,3 +140,82 @@ def test_reachable_yields_a_state_before_expanding_it():
     assert sid == builder.initial and successors
     with pytest.raises(BudgetExceeded):
         next(walk)
+
+
+# --- the copy closure behind accessible_stats ----------------------------------------
+
+def _walk_stats(construction, bundle, budget=None):
+    """``accessible_stats`` by the ``reachable`` walk alone."""
+    builder = builder_for(construction, bundle)
+    visits = [(sid, len(successors)) for sid, successors in reachable(builder, budget)]
+    nonempty = any(builder.is_final(sid) for sid, _ in visits)
+    return _stats(builder, bundle, len(visits), sum(n for _, n in visits)), nonempty
+
+
+def _outcome(call):
+    try:
+        return call()
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bundles(max_k=3))
+def test_copy_closure_matches_the_walk_on_random_bundles(bundle):
+    for construction in SPARSE:
+        fresh = InstanceBundle(bundle.automata)
+        assert copy_closure(builder_for(construction, fresh)) is not None  # small spaces stay on it
+        assert accessible_stats(construction, fresh) == _walk_stats(construction, bundle), construction
+
+
+def test_forced_hand_back_gives_the_same_stats(corpus, monkeypatch):
+    sample = [bundle for _, bundle in corpus[::5]]
+    expected = [[accessible_stats(c, InstanceBundle(b.automata)) for c in SPARSE] for b in sample]
+    monkeypatch.setattr(products, "CLOSURE_WORDS", -1)  # trips at the first charged move
+    monkeypatch.setattr(products, "CLOSURE_WORDS_PER_STATE", 0)
+    handed_back = sum(copy_closure(builder_for(c, b)) is None for b in sample for c in SPARSE)
+    assert handed_back > len(sample) * len(SPARSE) // 2
+    assert [[accessible_stats(c, InstanceBundle(b.automata)) for c in SPARSE] for b in sample] == expected
+
+
+def test_copy_closure_budget_boundary_matches_the_walk(corpus, monkeypatch):
+    """At the accessible count both engines pass; at one less both raise the
+    same message, through ``budget=`` and through NFAI_STATE_BUDGET."""
+    closure_runs = 0
+    for name, bundle in corpus[::3]:
+        for construction in SPARSE:
+            accessible = _walk_stats(construction, bundle)[0].states_accessible
+            for limit in (accessible, accessible - 1):
+                expected = _outcome(lambda: _walk_stats(construction, bundle, limit))
+                if accessible > 1:  # the initial state alone is never refused
+                    assert isinstance(expected, str) == (limit < accessible)
+                got = _outcome(lambda: accessible_stats(construction, InstanceBundle(bundle.automata), limit))
+                assert got == expected, (name, construction, limit)
+                monkeypatch.setenv("NFAI_STATE_BUDGET", str(limit))
+                got = _outcome(lambda: accessible_stats(construction, InstanceBundle(bundle.automata)))
+                monkeypatch.delenv("NFAI_STATE_BUDGET")
+                assert got == expected, (name, construction, limit)
+                closure_runs += bundle.prepared.space.base_size <= limit  # not handed back
+    assert closure_runs > 100
+
+
+@pytest.mark.parametrize("n, budget", [(3000, None), (50, 2499)])
+def test_thin_parts_of_large_spaces_are_handed_back_before_the_first_move(n, budget, monkeypatch):
+    """Two 3000-state chains trip the work guard (9,000,000 tuples, under the
+    default state budget); two 50-state chains under a budget of 2499 have a
+    tuple space over it, though their accessible parts fit."""
+    bundle = chains(n)
+    expected = {c: _walk_stats(c, bundle, budget) for c in SPARSE}
+    monkeypatch.setattr(products.ProductSpace, "move_counting", None)
+    for construction in SPARSE:
+        assert copy_closure(builder_for(construction, bundle), budget) is None
+        assert accessible_stats(construction, bundle, budget) == expected[construction]
+
+
+def test_direct_never_enters_the_copy_closure(corpus, monkeypatch):
+    def refuse(builder, budget=None):
+        raise AssertionError("direct entered the copy closure")
+
+    monkeypatch.setattr(products, "copy_closure", refuse)
+    for _, bundle in corpus[::10]:
+        assert accessible_stats("direct", bundle) == _walk_stats("direct", bundle)
