@@ -8,10 +8,10 @@ gives the word it spells.  Emptiness is certified by a *staggered cut*: per
 initial tuple, avoid all final tuples, and are closed under
 single-component moves.
 
-A cut is read off the word-parallel closure of the nodding product
-(``products.nodding_closure``) that decided the instance: its reached base
-tuples are every index-0 subset, and its mask of petal copy (a, i) is
-subset (i, a).  The closure is kept on the prepared bundle with the state
+A cut is read off the word-parallel closure of the nodding table
+(``PreparedBundle.closure``) that decided the instance: its seen-mask of the
+base copy is every index-0 subset, and its seen-mask of petal copy (a, i),
+found by ``products.nodding_copy``, is subset (i, a).  The closure is kept on the prepared bundle with the state
 budget it ran under, so certifying after deciding costs no further moves.
 Only when the closure's work guard hands the bundle back does extraction
 walk the product state by state through ``products.reachable``.
@@ -177,7 +177,8 @@ def extract_staggered_cut(bundle: InstanceBundle) -> StaggeredCut:
 
     The base-copy tuples become every index-0 subset and the tuples of the
     (letter, volley i) copy become subset (i, letter).  The word-parallel
-    closure (``products.nodding_closure``) gives them as bitmasks, run once
+    closure of the nodding table (``PreparedBundle.closure``) gives them as
+    the seen-masks of those copies, run once
     per bundle and state budget, so a cut extracted after ``decide_empty``
     reuses the decision's closure; only when its work guard hands the
     bundle back does the breadth-first walk of ``products.reachable``
@@ -191,12 +192,11 @@ def extract_staggered_cut(bundle: InstanceBundle) -> StaggeredCut:
     closure = prepared.closure()
     if closure is None:
         return _cut_by_walk(bundle)
-    if closure.finals:
+    if closure.met:
         raise ValueError("intersection is non-empty; no staggered cut exists")
-    k, l = bundle.k, bundle.n_letters
-    unreached = (0,) * (k - 1)
-    volleys = [closure.petals.get(letter, unreached)[i] for i in range(k - 1) for letter in range(l)]
-    return StaggeredCut(l, prepared.space.sizes, tuple([closure.base] * l + volleys))
+    k, l, seen = bundle.k, bundle.n_letters, closure.seen
+    volleys = [seen.get(nodding_copy(letter, i, k), 0) for i in range(1, k) for letter in range(l)]
+    return StaggeredCut(l, prepared.space.sizes, tuple([seen[0]] * l + volleys))
 
 
 def _mask_of(tids: List[int], n_bits: int) -> int:

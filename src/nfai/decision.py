@@ -5,16 +5,17 @@ The default decider works on the nodding product, whose accessible part is
 the sparsest of the constructions; the direct-product decider exists as the
 baseline the benchmarks compare against.
 
-One closure decides both outcomes.  The word-parallel closure
-(``products.nodding_closure``) holds each set of reached tuples as one
-bitmask and grows the base copy a letter layer at a time, each tuple kept
-in the first layer that reaches it, until a layer meets a final tuple.  On
-an empty instance it alone gives the answer and both counters.  On a
-non-empty one, ``_from_layers`` reads the witness run and the counters off
-its layers.  The run is the one a breadth-first search with word-sorted
-layers returns: as short as possible, which the certificate layer relies
-on, and the lexicographically least among the shortest, matching the
-oracle, with ties between runs on one word broken by state ids.
+One closure decides both outcomes.  The word-parallel closure of the
+nodding table (``PreparedBundle.closure``, on ``products.close_table``)
+holds each set of reached tuples as one bitmask and grows the base copy a
+letter layer at a time, each tuple kept in the first layer that reaches it,
+until a layer meets a final tuple.  On an empty instance it alone gives the
+answer and both counters.  On a non-empty one, ``_from_layers`` reads the
+witness run and the counters off copy 0's layers.  The run is the one a
+breadth-first search with word-sorted layers returns: as short as possible,
+which the certificate layer relies on, and the lexicographically least
+among the shortest, matching the oracle, with ties between runs on one word
+broken by state ids.
 
 The list engine, ``_search``, is that search.  It walks the product one
 state at a time and takes the whole decision only when the closure's work
@@ -30,7 +31,7 @@ from typing import Optional
 
 from .automata import EPSILON, InstanceBundle, Word
 from .products import (
-    BudgetExceeded, NoddingClosure, ProductBuilder, builder_for, nodding_copy, state_budget,
+    BudgetExceeded, Closure, ProductBuilder, builder_for, nodding_copy, state_budget,
 )
 
 
@@ -122,9 +123,9 @@ def _inverted(lists: dict) -> dict:
     return out
 
 
-def _from_layers(bundle: InstanceBundle, closure: NoddingClosure) -> Decision:
+def _from_layers(bundle: InstanceBundle, closure: Closure) -> Decision:
     """The Decision ``_search`` returns on a non-empty instance, read off the
-    closure's letter layers.
+    nodding closure's base layers, one per letter layer.
 
     ``_search`` returns the least shortest accepting run, ordered first by
     the word it spells and then by its state ids from the start.  It counts
@@ -140,7 +141,7 @@ def _from_layers(bundle: InstanceBundle, closure: NoddingClosure) -> Decision:
     prepared = bundle.prepared
     space, letters, layers = prepared.space, prepared.letters, closure.layers
     k, last = len(letters), len(layers) - 1
-    moving = list(closure.petals)
+    moving = [letter for _, _, letter, _ in prepared.nodding[0]]
     inverse = {a: [_inverted(component[a]) for component in letters] for a in moving}
 
     def petal(mask: int, a: int) -> int:
@@ -159,7 +160,7 @@ def _from_layers(bundle: InstanceBundle, closure: NoddingClosure) -> Decision:
 
     # coreach[d]: the tuples that some word of length last - d leads to a
     # final tuple of the last layer; those of layer d are all it is met with
-    coreach = [0] * last + [closure.finals]
+    coreach = [0] * last + [closure.met]
     for d in range(last - 1, 0, -1):
         for a in moving:
             coreach[d] |= back(coreach[d + 1], a)
@@ -181,7 +182,7 @@ def _from_layers(bundle: InstanceBundle, closure: NoddingClosure) -> Decision:
     # live[t]: the tuples from which the word's steps from the t-th on, each
     # moving one component, lead to a final tuple of the last layer
     steps = [(i, a) for a in word for i in range(k)]
-    live = [closure.finals] * (len(steps) + 1)
+    live = [closure.met] * (len(steps) + 1)
     for t in range(len(steps) - 1, -1, -1):
         i, a = steps[t]
         live[t] = space.move(live[t + 1], i, inverse[a][i])
@@ -225,7 +226,7 @@ def decide_empty(bundle: InstanceBundle) -> Decision:
     closure = bundle.prepared.closure()
     if closure is None:
         return _search(builder_for("nodding", bundle))
-    if not closure.finals:
+    if not closure.met:
         return Decision(True, None, closure.states, closure.transitions)
     return _from_layers(bundle, closure)
 

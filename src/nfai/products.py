@@ -22,18 +22,18 @@ the component states a final tuple of each copy needs - and
 ``ProductBuilder`` reads successors, finality and size totals off that
 table.
 
-Every sparse construction is also explored word-parallel, holding each set
-of reached tuples as one bitmask over the tuple space and moving a whole
-set through a volley in one masked-shift pass.  ``copy_closure`` closes a
-builder's copy table, one seen-mask per copy, and gives the accessible
-sizes and finality behind ``accessible_stats``.  ``nodding_closure`` closes
-the nodding product's base copy under whole petals and keeps one base-copy
-layer per word length, so a single forward pass decides both outcomes: it
-counts what the list search would explore, and the layers hold what the
-decision needs to rebuild the witness run.  Both share one work guard,
-which hands thin accessible parts in large tuple spaces back to the
-state-by-state walk.  The nodding copies are numbered arithmetically
-(``nodding_copy``), so a witness run is read without building the table.
+Every sparse construction is also explored word-parallel by one loop,
+``close_table``: it holds each set of reached tuples as one bitmask over the
+tuple space, one seen-mask per copy, and moves a whole set through a volley
+in one masked-shift pass, a level at a time.  On a builder's table it gives
+the accessible sizes and finality behind ``accessible_stats``.  On the
+nodding table of the prepared bundle, stopped at the first base layer that
+meets a final tuple, a single forward pass decides both outcomes: it counts
+what the list search would explore, and copy 0's layers hold what the
+decision needs to rebuild the witness run.  One work guard hands thin
+accessible parts in large tuple spaces back to the state-by-state walk.
+The nodding copies are numbered arithmetically (``nodding_copy``), so a
+witness run is read without building the table of every letter.
 
 All constructions share a mixed-radix state encoding with the copy tag most
 significant and component 0 least significant, so tuples of the tag-0 copy
@@ -285,22 +285,37 @@ class PreparedBundle:
     and both cut verifiers, kept as ``InstanceBundle.prepared``, each built on
     first use and keyed only by states that move, so they cost what the
     transitions cost, not what n does.  The state budget is never cached:
-    the nodding closure is kept with the budget it ran under."""
+    the nodding table's closure is kept with the budget it ran under."""
 
     def __init__(self, bundle: InstanceBundle):
         self.automata = bundle.automata  # not the bundle: no cycle through its cache
         self.space = ProductSpace([a.n_states for a in bundle.automata], 1)  # one copy
         self.initial = self.space.encode([a.initial for a in bundle.automata])
-        self._closure = (None, None)  # (state budget, its nodding closure)
+        self._closure = (None, None)  # (state budget, the nodding table's closure)
 
-    def closure(self) -> Optional["NoddingClosure"]:
-        """:func:`nodding_closure` of this bundle, run once per state budget
-        in force; a call that raises BudgetExceeded keeps nothing, so the
-        next call under that budget raises again."""
+    def closure(self) -> Optional[Closure]:
+        """:func:`close_table` of the nodding table, stopped at the first
+        base layer that meets the final mask: run once per state budget in
+        force; a call that raises BudgetExceeded keeps nothing, so the next
+        call under that budget raises again."""
         limit = state_budget()
         if self._closure[0] != limit:
-            self._closure = (limit, nodding_closure(self))
+            self._closure = (limit, close_table(self.nodding, self, limit, "nodding", stop=True))
         return self._closure[1]
+
+    @cached_property
+    def nodding(self) -> Dict[int, list]:
+        """The nodding product's copy table, ``{copy: nodding_volleys(copy)}``,
+        over the base copy and the petal copies of the letters component 0
+        moves on: the only copies reachable, so a bundle declaring many
+        letters costs only its moving ones."""
+        k = len(self.letters)
+        table = {0: nodding_volleys(self.letters, 0)}
+        for _, _, letter, _ in table[0]:
+            for j in range(1, k):
+                copy = nodding_copy(letter, j, k)
+                table[copy] = nodding_volleys(self.letters, copy)
+        return table
 
     @cached_property
     def final_mask(self) -> int:
@@ -329,114 +344,105 @@ class PreparedBundle:
 #: tuples its set holds.  On a 2-vCPU VM (Python 3.11) the list search
 #: spends 7-8 us per state and the closure 2-3 ns per word, so 2000
 #: words per state reached keeps the closure below the search's cost.  The
-#: fixed allowance pays for the first layers, which reach few states: the
+#: fixed allowance pays for the first levels, which reach few states: the
 #: dense k=5 clique benchmark instance (24 vertices) spends 10.7 M words
-#: on its first letter layer for 73 states.  A layer whose front of new base
-#: tuples at least doubles is not charged, since the states it reaches
-#: outnumber all earlier ones and a front can double only log2 of the tuple
-#: space times; that keeps dense cliques, whose fronts grow 1, 24, 276,
-#: 1542, 4392 there, on the closure.  Fronts of thin instances do not
-#: grow: two 200-state one-letter chains hand back after 67 layers (about
-#: 12 ms), two 3000-state chains before their first move (421 M words).
-#: ``copy_closure`` charges its volleys against the same guard, without the
-#: refund, and hands those chains back before its first move too.
+#: on its first letter layer for 73 states.  When copy 0's new front is at
+#: least twice its previous front, the work charged since that front is
+#: refunded, since the states it reaches outnumber all earlier ones and a
+#: front can double only log2 of the tuple space times; that keeps dense
+#: cliques, whose base fronts grow 1, 24, 278, 1572, 4296 there, on the
+#: closure.  Fronts of thin instances do not grow: two 200-state one-letter
+#: chains hand the nodding table back after 67 layers (about 12 ms), two
+#: 3000-state chains hand every table back before its first move (421 M
+#: words).
 CLOSURE_WORDS = 1 << 24
 CLOSURE_WORDS_PER_STATE = 2000
 
 
-def _overworked(work: int, states: int) -> bool:
-    """The closures' work guard: ``work`` words charged so far against the
-    ``states`` product states reached."""
-    return work > CLOSURE_WORDS + CLOSURE_WORDS_PER_STATE * states
-
-
 @dataclass(frozen=True)
-class NoddingClosure:
-    """The nodding product's accessible part up to its first final layer, as
-    tuple sets, from :func:`nodding_closure`.
+class Closure:
+    """A copy table's accessible part as tuple sets, from :func:`close_table`.
 
-    ``layers[d]`` holds the base tuples first reached by a word of length d,
-    one product step per component and letter, so at distance ``d * k``;
-    ``finals`` is the last layer's meet with the final mask, 0 exactly when
-    the intersection is empty.  ``base`` is the union of the layers and
-    ``petals[a][i]`` the tuples of copy (a, i + 1) reached from them, for
-    each letter a that component 0 moves on.  ``states`` and
-    ``transitions`` count the product states nearer than the last layer and
-    their moves, as the list search counts them: on an empty instance, the
-    whole accessible part.
+    ``seen[t]`` holds the tuples reached in copy t, for each copy reached.
+    ``layers`` holds copy 0's fronts in the order reached, the initial tuple
+    first; on the nodding table ``layers[d]`` holds the base tuples first
+    reached by a word of length d, at distance ``d * k``.  ``met`` is the
+    last layer's meet with the stop mask, 0 when the loop never stopped.
+    ``states`` counts the states at the levels before the stop level and
+    ``transitions`` their moves, as the list walks count them: without a
+    stop, the whole accessible part.
     """
 
-    finals: int
     layers: tuple
-    base: int
-    petals: Dict[int, tuple]
+    seen: Dict[int, int]
+    met: int
     states: int
     transitions: int
 
 
-def nodding_closure(prepared: PreparedBundle) -> Optional[NoddingClosure]:
-    """Close the base-copy tuples of the nodding product under whole petals,
-    one letter layer at a time and one bitmask per set:
-    ``front = OR over a of petal_a(front) & ~seen``, where petal a moves
-    each component in turn on letter a by :meth:`ProductSpace.move_counting`
-    and drops the tuples its copies already hold.  Only the letters
-    component 0 moves on are visited.  It stops at the first layer that
-    meets the final mask, or when no new tuple is reached.
+def close_table(table, prepared: "PreparedBundle", limit: int, name: str,
+                stop: bool = False) -> Optional[Closure]:
+    """Close a copy table from the initial tuple in copy 0, one level at a
+    time and one bitmask per set.  ``table[t]`` lists the volleys leaving
+    copy t as ``(component, lists, label, next copy)``, as
+    ``ProductBuilder.moves`` does.  In each level every copy's front moves
+    through each volley leaving it by :meth:`ProductSpace.move_counting`;
+    the landings in a copy are ORed together and what that copy has already
+    seen is removed, once per copy.  With ``stop``, the loop stops at the
+    first level where copy 0's new front meets the final mask.
 
     Returns None, for the caller to walk the product by lists instead, when
-    the tuple space exceeds the state budget or when the work charged so
-    far, as columns moved times the tuple space's machine words, exceeds
-    ``CLOSURE_WORDS`` plus ``CLOSURE_WORDS_PER_STATE`` per product state
-    reached; a layer whose new front is at least twice the one it grew from
-    is not charged.  A move costs a pass over the whole tuple space however
-    few tuples it holds, so a thin accessible part is cheaper by lists.
-    Raises BudgetExceeded, as the list search would, when the accessible
-    part of an empty instance holds more states than the budget.
+    the tuple space exceeds ``limit`` or when the work charged so far, as
+    columns moved times the tuple space's machine words, exceeds
+    ``CLOSURE_WORDS`` plus ``CLOSURE_WORDS_PER_STATE`` per state counted;
+    see the guard constants for the refund.  A move costs a pass over the
+    whole tuple space however few tuples it holds, so a thin accessible part
+    is cheaper by lists.  Raises BudgetExceeded for the construction
+    ``name`` at the end of a level, the stop level excepted, once the
+    counted states exceed ``limit``.
     """
-    space, letters = prepared.space, prepared.letters
-    limit = state_budget()
+    space = prepared.space
     if space.base_size > limit:
         return None
-    moving = [a for a, lists in enumerate(letters[0]) if lists]
-    petals = {a: [0] * (len(letters) - 1) for a in moving}
     words = (space.base_size + 63) // 64
-    final_mask = prepared.final_mask
-    seen = front = 1 << prepared.initial
-    layers, states, transitions, work, width = [front], 0, 0, 0, 1
-    while not front & final_mask:
-        states += width
-        spent, landed = work, 0
-        for a in moving:
-            mask, copies = front, petals[a]
-            for i, component in enumerate(letters):
-                targets = component[a]
-                work += len(targets) * words
-                if _overworked(work, states):
+    final_mask = prepared.final_mask if stop else 0
+    seen = {0: 1 << prepared.initial}
+    fronts, layers = dict(seen), [seen[0]]
+    states = transitions = work = spent = 0
+    width = 1
+    while True:
+        met = fronts.get(0, 0) & final_mask
+        if met:
+            return Closure(tuple(layers), seen, met, states, transitions)
+        states += sum(map(int.bit_count, fronts.values()))
+        if states > limit:
+            raise BudgetExceeded.exploring(name, limit)
+        landed: Dict[int, int] = {}
+        for t, front in fronts.items():
+            for component, lists, _, nxt in table[t]:
+                if not lists:
+                    continue
+                work += len(lists) * words
+                if work > CLOSURE_WORDS + CLOSURE_WORDS_PER_STATE * states:
                     return None
-                mask, moves = space.move_counting(mask, i, targets)
+                moved, moves = space.move_counting(front, component, lists)
                 transitions += moves
-                if i < len(copies):
-                    mask &= ~copies[i]
-                    copies[i] |= mask
-                    states += mask.bit_count()
-                if not mask:
-                    break
-            else:
-                landed |= mask
-        front = landed & ~seen
-        if not front:
-            break
-        grown = front.bit_count()
-        if grown >= 2 * width:
-            work = spent  # a front that doubles pays for its layer
-        width = grown
-        seen |= front
-        layers.append(front)
-    finals = front & final_mask
-    if not finals and states > limit:
-        raise BudgetExceeded.exploring("nodding", limit)
-    petals = {a: tuple(copies) for a, copies in petals.items()}
-    return NoddingClosure(finals, tuple(layers), seen, petals, states, transitions)
+                if moved:
+                    landed[nxt] = landed.get(nxt, 0) | moved
+        fronts = {}
+        for t, mask in landed.items():
+            fresh = mask & ~seen.get(t, 0)
+            if fresh:
+                seen[t] = seen.get(t, 0) | fresh
+                fronts[t] = fresh
+        if not fronts:
+            return Closure(tuple(layers), seen, 0, states, transitions)
+        if 0 in fronts:
+            layers.append(fronts[0])
+            grown = fronts[0].bit_count()
+            if grown >= 2 * width:
+                work = spent  # a front that doubles pays for its level
+            width, spent = grown, work
 
 
 class ProductBuilder:
@@ -570,6 +576,19 @@ class _DirectBuilder(ProductBuilder):
         )
 
 
+def nodding_volleys(letters: tuple, copy: int) -> list:
+    """The volleys leaving the nodding product's copy ``copy``, as
+    ``(component, lists, letter, next copy)`` over the per-component letter
+    lists ``letters``.  From the base, component 0 reads each letter it
+    moves on into copy (letter, 1); from copy (letter, j), component j moves
+    on the letter into (letter, j + 1), the last volley back into the base."""
+    k = len(letters)
+    if copy == 0:
+        return [(0, lists, a, nodding_copy(a, 1, k)) for a, lists in enumerate(letters[0]) if lists]
+    a, j = nodding_tag(copy, k)
+    return [(j, letters[j][a], a, nodding_copy(a, j + 1, k) if j < k - 1 else 0)]
+
+
 def nodding_copy(letter: int, j: int, k: int) -> int:
     """Position of the nodding product's copy ``(letter, j)``, 1 <= j < k:
     the base copy first, then each letter's petal copies in volley order.
@@ -586,10 +605,9 @@ def nodding_tag(copy: int, k: int) -> tuple:
 
 
 class _NoddingBuilder(ProductBuilder):
-    """A flower of one petal per letter, glued at the base copy.  From the
-    base, component 0 reads the letter into copy ``(letter, 1)``; from copy
-    ``(letter, j)``, component j moves on the letter by an epsilon move into
-    ``(letter, j + 1)``, the last volley back into the base."""
+    """A flower of one petal per letter, glued at the base copy, as
+    :func:`nodding_volleys` describes it; the moves after the first of a
+    petal are epsilon moves."""
 
     construction = "nodding"
     epsilon = True
@@ -598,11 +616,9 @@ class _NoddingBuilder(ProductBuilder):
         return ["base"] + [nodding_tag(copy, self.k) for copy in range(1, 1 + self.n_letters * (self.k - 1))]
 
     def _volleys(self, tag) -> list:
-        if tag == "base":
-            return [(0, lists, s, (s, 1)) for s, lists in enumerate(self.prepared.letters[0])]
-        letter, j = tag
-        label = EPSILON if self.epsilon else letter
-        return [(j, self.prepared.letters[j][letter], label, (letter, j + 1) if j < self.k - 1 else "base")]
+        copy = 0 if tag == "base" else nodding_copy(*tag, self.k)
+        return [(comp, lists, EPSILON if comp and self.epsilon else letter, self.tags[nxt])
+                for comp, lists, letter, nxt in nodding_volleys(self.prepared.letters, copy)]
 
     def _accept(self, tag):
         return self.finals if tag == "base" else None
@@ -790,58 +806,6 @@ def reachable(builder: ProductBuilder, budget: Optional[int] = None):
                 order.append(dst)
 
 
-def copy_closure(builder: ProductBuilder, budget: Optional[int] = None) -> Optional[Tuple[int, int, bool]]:
-    """The accessible part of a sparse construction, counted on bitmasks, as
-    ``(states, transitions, nonempty)``.
-
-    Each copy of the builder's table keeps one seen-mask over the one-copy
-    tuple space.  A level at a time, every copy's front moves through each
-    volley leaving it by :meth:`ProductSpace.move_counting`, and the target
-    copy drops the tuples it has already seen.  ``states`` sums the new
-    tuples and ``transitions`` the single moves, so both equal the list
-    walk's counts: each state is in one front, and each move count is the
-    sum of its members' successor lists.  ``nonempty`` tells whether some
-    copy's seen-mask meets that copy's final tuples.
-
-    Returns None, for the caller to walk by lists instead, when the tuple
-    space exceeds the state budget or when the work charged, the moved
-    columns times the tuple space's machine words, outgrows the reached
-    states by the nodding closure's guard.  Raises BudgetExceeded, as the
-    walk does, exactly when the accessible part holds more states than
-    ``state_budget(budget)``.
-    """
-    space = builder.prepared.space
-    limit = state_budget(budget)
-    if space.base_size > limit:
-        return None
-    words = (space.base_size + 63) // 64
-    seen = [0] * len(builder.moves)
-    seen[0] = 1 << builder.initial
-    fronts, states, transitions, work = {0: seen[0]}, 1, 0, 0
-    while fronts:
-        reached: Dict[int, int] = {}
-        for t, front in fronts.items():
-            for component, lists, _, nxt in builder.moves[t]:
-                if not lists:
-                    continue
-                work += len(lists) * words
-                if _overworked(work, states):
-                    return None
-                moved, moves = space.move_counting(front, component, lists)
-                transitions += moves
-                fresh = moved & ~seen[nxt]
-                if fresh:
-                    seen[nxt] |= fresh
-                    reached[nxt] = reached.get(nxt, 0) | fresh
-                    states += fresh.bit_count()
-                    if states > limit:
-                        raise BudgetExceeded.exploring(builder.construction, limit)
-        fronts = reached
-    nonempty = any(mask & space.product_mask(accept)
-                   for mask, accept in zip(seen, builder.accept) if mask and accept is not None)
-    return states, transitions, nonempty
-
-
 def _stats(builder: ProductBuilder, bundle: InstanceBundle, states_acc: int, trans_acc: int) -> SparsityStats:
     return SparsityStats(
         construction=builder.construction,
@@ -887,15 +851,23 @@ def accessible_stats(
     """Counting-only exploration: statistics plus whether any final state is
     reachable, without storing the sub-automaton.
 
-    The four sparse constructions are counted by :func:`copy_closure` on
-    bitmasks; when its work guard hands the call back, and always for
+    The four sparse constructions are counted by :func:`close_table` on
+    their builders' copy tables: each state is in one front, and each move
+    count is the sum of its members' successor lists, so the counts are the
+    walk's.  When its work guard hands the call back, and always for
     ``direct``, the baseline the sparse sizes are compared with, the
     ``reachable`` walk counts one successor list at a time.  Both give the
     same counts and raise BudgetExceeded in the same cases."""
     builder = builder_for(construction, bundle)
-    counted = None if construction == "direct" else copy_closure(builder, budget)
-    if counted is None:
+    closure = None
+    if construction != "direct":
+        closure = close_table(builder.moves, builder.prepared, state_budget(budget), construction)
+    if closure is None:
         visits = [(sid, len(successors)) for sid, successors in reachable(builder, budget)]
-        counted = (len(visits), sum(n for _, n in visits), any(builder.is_final(sid) for sid, _ in visits))
-    states, transitions, nonempty = counted
+        states, transitions = len(visits), sum(n for _, n in visits)
+        nonempty = any(builder.is_final(sid) for sid, _ in visits)
+    else:
+        states, transitions = closure.states, closure.transitions
+        nonempty = any(mask & builder.prepared.space.product_mask(builder.accept[t])
+                       for t, mask in closure.seen.items() if builder.accept[t] is not None)
     return _stats(builder, bundle, states, transitions), nonempty

@@ -1,8 +1,10 @@
-"""The word-parallel nodding closure, ``products.nodding_closure``, against
-the list engines it stands in for: ``decision._search`` for whole Decisions,
-witness runs included, the ``products.reachable`` walk for every cut subset,
-and both for the state budget.  Its work guard is checked on bundles whose
-tuple space is far larger than their accessible part and on dense cliques.
+"""The word-parallel closure of the nodding table, ``PreparedBundle.closure``
+on ``products.close_table``, against the list engines it stands in for:
+``decision._search`` for whole Decisions, witness runs included, the
+``products.reachable`` walk for every cut subset, and both for the state
+budget.  Its work guard is checked on bundles whose tuple space is far
+larger than their accessible part and on dense cliques.  The same loop
+behind ``accessible_stats`` counts what the decision counts.
 """
 
 import os
@@ -22,7 +24,7 @@ from nfai.automata import InstanceBundle, Nfa
 from nfai.certificates import _cut_by_walk, extract_short_pathset, extract_staggered_cut, verify_short_pathset
 from nfai.decision import _search, decide_empty
 from nfai.hardness import clique_bundle, random_graph
-from nfai.products import BudgetExceeded, builder_for, nodding_closure
+from nfai.products import BudgetExceeded, accessible_stats, builder_for
 
 from helpers import acceptance_corpus, bundles, chains
 
@@ -42,10 +44,10 @@ def _outcome(call):
 def _check_against_list_engines(bundle):
     """Closure and list engines agree; returns whether the bundle is empty."""
     reference = _search(builder_for("nodding", bundle))
-    closure = nodding_closure(bundle.prepared)
+    closure = bundle.prepared.closure()
     assert closure is not None  # small tuple spaces never trip the guard
-    assert (closure.finals == 0) == reference.empty
-    assert closure.finals & ~bundle.prepared.final_mask == 0
+    assert (closure.met == 0) == reference.empty
+    assert closure.met & ~bundle.prepared.final_mask == 0
     decided = decide_empty(_fresh(bundle))
     assert decided == reference  # the answer, the witness run and both counters
     if not reference.empty:
@@ -124,6 +126,22 @@ def test_closure_matches_list_engines_on_dense_cliques(k, seed):
     assert not _check_against_list_engines(bundle)  # each of these graphs has a k-clique
 
 
+def test_stats_count_what_the_decision_counts_on_empty_bundles(corpus):
+    """The loop closes the nodding table for ``decide_empty`` and a
+    builder's table for ``accessible_stats``: on an empty bundle both close
+    the whole accessible part, so the counts agree."""
+    empties = 0
+    for name, bundle in corpus:
+        decided = decide_empty(_fresh(bundle))
+        if decided.empty:
+            empties += 1
+            stats, nonempty = accessible_stats("nodding", _fresh(bundle))
+            assert not nonempty, name
+            counts = (stats.states_accessible, stats.transitions_accessible)
+            assert counts == (decided.explored_states, decided.explored_transitions), name
+    assert empties > 50
+
+
 def test_forced_fallback_gives_the_same_results(corpus, monkeypatch):
     sample = [bundle for _, bundle in corpus[::5]]
 
@@ -137,7 +155,7 @@ def test_forced_fallback_gives_the_same_results(corpus, monkeypatch):
     closure = results()
     monkeypatch.setattr(products, "CLOSURE_WORDS", -1)  # trips at the first move
     monkeypatch.setattr(products, "CLOSURE_WORDS_PER_STATE", 0)
-    fallbacks = sum(nodding_closure(_fresh(bundle).prepared) is None for bundle in sample)
+    fallbacks = sum(_fresh(bundle).prepared.closure() is None for bundle in sample)
     assert fallbacks > len(sample) // 2
     assert results() == closure
 
@@ -148,7 +166,7 @@ def test_closure_witness_among_many_final_tuples():
     n = 300
     a = Nfa(n, 1, tuple((0, 0, q) for q in range(1, n)), 0, frozenset(range(1, n)))
     bundle = InstanceBundle((a, a))
-    assert nodding_closure(bundle.prepared).finals.bit_count() == (n - 1) ** 2 > 1 << 16
+    assert bundle.prepared.closure().met.bit_count() == (n - 1) ** 2 > 1 << 16
     decided = decide_empty(_fresh(bundle))
     assert decided == _search(builder_for("nodding", bundle))
     assert decided.explored_states == n + 1
@@ -163,8 +181,8 @@ def _complete_without_finals():
 
 def test_certify_runs_the_closure_once_per_budget(monkeypatch):
     runs = []
-    closure = products.nodding_closure
-    monkeypatch.setattr(products, "nodding_closure", lambda prepared: runs.append(1) or closure(prepared))
+    close_table = products.close_table
+    monkeypatch.setattr(products, "close_table", lambda *args, **kw: runs.append(1) or close_table(*args, **kw))
     bundle = _complete_without_finals()
     decided = decide_empty(bundle)
     cut = extract_staggered_cut(bundle)
@@ -196,7 +214,7 @@ def test_guard_hands_long_chains_to_the_list_engines(monkeypatch):
     started = time.perf_counter()
     with monkeypatch.context() as patched:  # handed back before the first move
         patched.setattr(products.ProductSpace, "move_counting", None)
-        assert nodding_closure(bundle.prepared) is None
+        assert bundle.prepared.closure() is None
     result = decide_empty(bundle)
     decided = time.perf_counter() - started
     assert (result.empty, result.explored_states, result.explored_transitions) == (True, 5999, 5998)
@@ -212,13 +230,13 @@ def test_guard_keeps_dense_cliques_on_the_closure():
     first letter layer costs about 10.7 M words for 73 states, and every
     later front at least doubles."""
     bundle = clique_bundle(random_graph(24, 0.5, 1), 5)
-    closure = nodding_closure(bundle.prepared)
-    assert closure is not None and closure.finals
+    closure = bundle.prepared.closure()
+    assert closure is not None and closure.met
     assert decide_empty(_fresh(bundle)) == _search(builder_for("nodding", bundle))
 
 
 def test_guard_keeps_short_chains_on_the_closure():
-    closure = nodding_closure(chains(50).prepared)
+    closure = chains(50).prepared.closure()
     assert closure is not None and (closure.states, closure.transitions) == (99, 98)
 
 

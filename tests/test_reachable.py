@@ -5,9 +5,9 @@ Every consumer of the core is compared with that reference on the whole
 acceptance corpus: ``accessible_part`` and ``accessible_stats`` for all five
 constructions, and ``extract_staggered_cut`` on the nodding product.  The
 bitmask closure behind ``accessible_stats`` on the four sparse
-constructions, ``products.copy_closure``, is also compared with the
-``reachable`` walk it hands back to: on Hypothesis bundles, under a forced
-hand-back and at the state budget's boundary.
+constructions, ``products.close_table`` on each builder's copy table, is
+also compared with the ``reachable`` walk it hands back to: on Hypothesis
+bundles, under a forced hand-back and at the state budget's boundary.
 """
 
 from collections import deque
@@ -25,7 +25,7 @@ from nfai.products import (
     accessible_part,
     accessible_stats,
     builder_for,
-    copy_closure,
+    close_table,
     reachable,
     state_budget,
 )
@@ -144,6 +144,12 @@ def test_reachable_yields_a_state_before_expanding_it():
 
 # --- the copy closure behind accessible_stats ----------------------------------------
 
+def _closure(construction, bundle, budget=None):
+    """``close_table`` on the builder's copy table, as ``accessible_stats`` runs it."""
+    builder = builder_for(construction, bundle)
+    return close_table(builder.moves, builder.prepared, state_budget(budget), construction)
+
+
 def _walk_stats(construction, bundle, budget=None):
     """``accessible_stats`` by the ``reachable`` walk alone."""
     builder = builder_for(construction, bundle)
@@ -164,7 +170,7 @@ def _outcome(call):
 def test_copy_closure_matches_the_walk_on_random_bundles(bundle):
     for construction in SPARSE:
         fresh = InstanceBundle(bundle.automata)
-        assert copy_closure(builder_for(construction, fresh)) is not None  # small spaces stay on it
+        assert _closure(construction, fresh) is not None  # small spaces stay on it
         assert accessible_stats(construction, fresh) == _walk_stats(construction, bundle), construction
 
 
@@ -173,7 +179,7 @@ def test_forced_hand_back_gives_the_same_stats(corpus, monkeypatch):
     expected = [[accessible_stats(c, InstanceBundle(b.automata)) for c in SPARSE] for b in sample]
     monkeypatch.setattr(products, "CLOSURE_WORDS", -1)  # trips at the first charged move
     monkeypatch.setattr(products, "CLOSURE_WORDS_PER_STATE", 0)
-    handed_back = sum(copy_closure(builder_for(c, b)) is None for b in sample for c in SPARSE)
+    handed_back = sum(_closure(c, b) is None for b in sample for c in SPARSE)
     assert handed_back > len(sample) * len(SPARSE) // 2
     assert [[accessible_stats(c, InstanceBundle(b.automata)) for c in SPARSE] for b in sample] == expected
 
@@ -208,14 +214,14 @@ def test_thin_parts_of_large_spaces_are_handed_back_before_the_first_move(n, bud
     expected = {c: _walk_stats(c, bundle, budget) for c in SPARSE}
     monkeypatch.setattr(products.ProductSpace, "move_counting", None)
     for construction in SPARSE:
-        assert copy_closure(builder_for(construction, bundle), budget) is None
+        assert _closure(construction, bundle, budget) is None
         assert accessible_stats(construction, bundle, budget) == expected[construction]
 
 
 def test_direct_never_enters_the_copy_closure(corpus, monkeypatch):
-    def refuse(builder, budget=None):
+    def refuse(*args, **kw):
         raise AssertionError("direct entered the copy closure")
 
-    monkeypatch.setattr(products, "copy_closure", refuse)
+    monkeypatch.setattr(products, "close_table", refuse)
     for _, bundle in corpus[::10]:
         assert accessible_stats("direct", bundle) == _walk_stats("direct", bundle)
