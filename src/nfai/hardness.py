@@ -15,9 +15,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from .automata import InstanceBundle, Nfa
+from .products import state_budget
 
 
 @dataclass(frozen=True)
@@ -36,10 +37,6 @@ class UndirectedGraph:
             canon.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", frozenset(canon))
 
-    def neighbours(self, v: int) -> Tuple[int, ...]:
-        out = [b if a == v else a for (a, b) in self.edges if v in (a, b)]
-        return tuple(sorted(out))
-
     def adjacent(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
@@ -56,34 +53,19 @@ def clique_to_dfas(g: UndirectedGraph, k: int) -> List[Nfa]:
     if k < 3:
         raise ValueError("the clique reduction needs k >= 3")
     n = g.n_vertices
-    neighbours = [g.neighbours(v) for v in range(n)]
+    neighbours: List[List[int]] = [[] for _ in range(n)]
+    for (u, v) in g.edges:  # one pass over the edges, not one per vertex
+        neighbours[u].append(v)
+        neighbours[v].append(u)
     automata: List[Nfa] = []
-    for i in range(k - 2):
-        chain = i + 1
-        transitions = []
-        for pos in range(chain - 1):
-            for v in range(n):
-                transitions.append((pos, v, pos + 1))
-        for v in range(n):
-            transitions.append((chain - 1, v, chain + v))
-        for v in range(n):
-            for w in neighbours[v]:
-                transitions.append((chain + v, w, chain + v))
-        automata.append(
-            Nfa(chain + n, n, tuple(transitions), 0, frozenset(range(chain, chain + n)))
-        )
-    chain = k - 1
-    final = chain + n
-    transitions = []
-    for pos in range(chain - 1):
-        for v in range(n):
-            transitions.append((pos, v, pos + 1))
-    for v in range(n):
-        transitions.append((chain - 1, v, chain + v))
-    for v in range(n):
-        for w in neighbours[v]:
-            transitions.append((chain + v, w, final))
-    automata.append(Nfa(chain + n + 1, n, tuple(transitions), 0, frozenset({final})))
+    for i in range(k - 1):
+        chain, last = i + 1, i == k - 2
+        final = chain + n  # the last automaton's only final state
+        transitions = [(pos, v, pos + 1) for pos in range(chain - 1) for v in range(n)]
+        transitions += [(chain - 1, v, chain + v) for v in range(n)]
+        transitions += [(chain + v, w, final if last else chain + v) for v in range(n) for w in neighbours[v]]
+        finals = {final} if last else range(chain, chain + n)
+        automata.append(Nfa(chain + n + last, n, tuple(transitions), 0, frozenset(finals)))
     return automata
 
 
@@ -159,7 +141,9 @@ def random_graph(n_vertices: int, edge_prob: float, seed) -> UndirectedGraph:
 # --- graph files -------------------------------------------------------------
 
 def parse_graph(text: str) -> UndirectedGraph:
-    """Graph text format: first line ``graph n``, then ``edge u v`` lines."""
+    """Graph text format: first line ``graph n``, then ``edge u v`` lines.
+    A vertex count over ``state_budget()`` is refused at its line, before
+    the reduction allocates per vertex."""
     from .fileformat import FormatError
 
     def ints(no: int, parts: list, usage: str, count: int) -> list:
@@ -184,6 +168,8 @@ def parse_graph(text: str) -> UndirectedGraph:
             (n,) = ints(no, parts, "one vertex count", 1)
             if n < 0:
                 raise FormatError(f"negative vertex count {n}", no)
+            if n > (limit := state_budget()):
+                raise FormatError(f"{n} vertices, over the state budget of {limit}", no)
         elif parts[0] == "edge":
             if n is None:
                 raise FormatError("'edge' before 'graph' line", no)
