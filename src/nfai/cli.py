@@ -115,7 +115,10 @@ def cmd_verify(args) -> int:
 def _parse_random_graph(spec: str) -> hardness.UndirectedGraph:
     try:
         n_text, p_text, seed_text = spec.split(",")
-        return hardness.random_graph(int(n_text), float(p_text), int(seed_text))
+        n = int(n_text)
+        if n > (limit := products.state_budget()):
+            raise products.BudgetExceeded(f"random graph has {n} vertices, over the state budget of {limit}")
+        return hardness.random_graph(n, float(p_text), int(seed_text))
     except ValueError as exc:
         raise ValueError(f"bad random graph spec {spec!r}; expected random:n,p,seed") from exc
 

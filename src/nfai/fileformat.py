@@ -173,19 +173,23 @@ class _BlockParser:
             if value is None:
                 raise FormatError(f"missing '{name}' declaration", last_no)
         finals = self.finals if self.finals is not None else frozenset()
-        if self.header == "mtnfa":
-            if self.n_tapes is None:
-                raise FormatError("missing 'tapes' declaration", last_no)
-            return MultiTapeAutomaton(
-                self.n_states, self.n_letters, self.n_tapes,
-                tuple(self.transitions), self.initial, finals,
-            )
-        cls = EpsilonNfa if self.header == "enfa" else Nfa
-        return cls(self.n_states, self.n_letters, tuple(self.transitions), self.initial, finals)
+        if self.header == "mtnfa" and self.n_tapes is None:
+            raise FormatError("missing 'tapes' declaration", last_no)
+        try:  # the constructors check what the directives do not, such as the counts
+            if self.header == "mtnfa":
+                return MultiTapeAutomaton(
+                    self.n_states, self.n_letters, self.n_tapes,
+                    tuple(self.transitions), self.initial, finals,
+                )
+            cls = EpsilonNfa if self.header == "enfa" else Nfa
+            return cls(self.n_states, self.n_letters, tuple(self.transitions), self.initial, finals)
+        except ValueError as exc:
+            raise FormatError(str(exc), last_no) from None
 
 
-def parse_documents(text: str) -> List[Parsed]:
-    """Parse every ``---``-separated block in ``text``."""
+def _blocks(text: str) -> List[list]:
+    """The non-empty ``---``-separated blocks of ``text``, as ``(line
+    number, stripped line)`` pairs."""
     blocks: List[list] = [[]]
     for no, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
@@ -193,10 +197,15 @@ def parse_documents(text: str) -> List[Parsed]:
             blocks.append([])
         elif line:
             blocks[-1].append((no, line))
-    parsed = [_BlockParser(block).parse() for block in blocks if block]
-    if not parsed:
+    blocks = [block for block in blocks if block]
+    if not blocks:
         raise FormatError("no automaton block found", 1)
-    return parsed
+    return blocks
+
+
+def parse_documents(text: str) -> List[Parsed]:
+    """Parse every ``---``-separated block in ``text``."""
+    return [_BlockParser(block).parse() for block in _blocks(text)]
 
 
 def parse_automaton(text: str) -> Parsed:
@@ -208,11 +217,18 @@ def parse_automaton(text: str) -> Parsed:
 
 
 def parse_bundle(text: str) -> InstanceBundle:
-    """Parse a ``---``-separated file of plain NFA/DFA blocks as a bundle."""
-    docs = parse_documents(text)
-    for doc in docs:
+    """Parse a ``---``-separated file of plain NFA/DFA blocks as a bundle;
+    a block that cannot join the bundle is reported at its header line."""
+    blocks = _blocks(text)
+    docs = [_BlockParser(block).parse() for block in blocks]
+    for block, doc in zip(blocks, docs):
         if not isinstance(doc, Nfa):
-            raise ValueError("bundle files may only contain 'nfa' or 'dfa' blocks")
+            raise FormatError("bundle files may only contain 'nfa' or 'dfa' blocks", block[0][0])
+        if doc.n_letters != docs[0].n_letters:
+            raise FormatError(
+                f"block alphabet {doc.n_letters} differs from the first block's {docs[0].n_letters}", block[0][0])
+    if len(docs) < 2:
+        raise FormatError("a bundle needs at least two automata", blocks[-1][-1][0])
     return InstanceBundle(tuple(docs))
 
 

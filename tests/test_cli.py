@@ -159,6 +159,26 @@ def test_gen_bad_random_spec(tmp_path):
     assert main(["gen", "clique", "--graph", "random:6,0.5", "--k", "3"]) == 2
 
 
+def test_gen_refuses_graphs_over_the_state_budget(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NFAI_STATE_BUDGET", "1000")
+    graph_file = tmp_path / "huge.graph"
+    graph_file.write_text("graph 99999999\nedge 0 1\nedge 1 2\nedge 0 2\n")
+    out = tmp_path / "bundle.nfa"
+    assert main(["gen", "clique", "--graph", str(graph_file), "--k", "4", "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1: 99999999 vertices")
+    assert main(["gen", "clique", "--graph", "random:1001,0.5,1", "--k", "4", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: random graph has 1001 vertices, over the state budget of 1000\n"
+    assert not out.exists()
+    assert main(["gen", "clique", "--graph", "random:1000,0.01,1", "--k", "3", "-o", str(out)]) == 0
+
+
+def test_decide_reports_the_line_of_a_mismatched_block(tmp_path, capsys):
+    bundle = tmp_path / "mixed.nfa"
+    bundle.write_text("nfa\nstates 1\nalphabet 1\ninitial 0\n---\nnfa\nstates 1\nalphabet 2\ninitial 0\n")
+    assert main(["decide", str(bundle)]) == 2
+    assert capsys.readouterr().err == "error: line 6: block alphabet 2 differs from the first block's 1\n"
+
+
 def test_oracle_subcommand(clique_file, empty_file, capsys):
     assert main(["oracle", str(clique_file), "--max-len", "4"]) == 0
     assert capsys.readouterr().out.strip() == "WITNESS 0 1 3 4"

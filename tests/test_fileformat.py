@@ -143,6 +143,18 @@ def test_bundle_rejects_epsilon_blocks():
     )
     with pytest.raises(ValueError):
         parse_bundle(text)
+    with pytest.raises(FormatError, match="^line 1: "):
+        parse_bundle(text)
+
+
+def test_bundle_block_errors_name_the_block_line():
+    first = "nfa\nstates 1\nalphabet 1\ninitial 0\n"
+    with pytest.raises(FormatError, match="^line 6: block alphabet 2 differs"):
+        parse_bundle(first + "---\nnfa\nstates 1\nalphabet 2\ninitial 0\n")
+    with pytest.raises(FormatError, match="^line 4: a bundle needs at least two automata"):
+        parse_bundle(first)
+    with pytest.raises(FormatError, match="^line 4: alphabet size must be non-negative"):
+        parse_bundle("nfa\nstates 1\nalphabet -1\ninitial 0\n")  # checked when the block ends
 
 
 def test_parse_documents_counts_blocks():

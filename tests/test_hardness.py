@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -101,6 +102,19 @@ def test_reduction_on_random_graphs(k):
             assert all(g.adjacent(u, v) for u, v in itertools.combinations(word, 2))
 
 
+def test_reduction_of_a_large_sparse_graph_is_linear():
+    """A 20,000-vertex star: a reduction that scans every edge once per
+    vertex would take minutes."""
+    n = 20_000
+    star = UndirectedGraph(n, frozenset((0, v) for v in range(1, n)))
+    started = time.perf_counter()
+    dfas = clique_to_dfas(star, 4)
+    assert time.perf_counter() - started < 10
+    # the fan state of vertex v loops on v's neighbours: n - 1 loops at the centre, one elsewhere
+    assert [a.m for a in dfas] == [n + 2 * (n - 1), 2 * n + 2 * (n - 1), 3 * n + 2 * (n - 1)]
+    assert dfas[0].successors(1, 5) == (1,) and dfas[0].successors(1 + 5, 0) == (1 + 5,)
+
+
 def test_reduction_word_length_is_pinned():
     g = complete_graph(5)
     bundle = clique_bundle(g, 4)
@@ -151,3 +165,15 @@ def test_graph_parse_errors():
         parse_graph("graph 2\nedge 0 2\n")
     with pytest.raises(FormatError):
         parse_graph("graph 2\nedge 1 1\n")
+
+
+def test_graph_vertex_count_is_checked_against_the_budget(monkeypatch):
+    from nfai.fileformat import FormatError
+
+    monkeypatch.setenv("NFAI_STATE_BUDGET", "1000")
+    assert parse_graph("graph 1000\nedge 0 999\n").n_vertices == 1000
+    with pytest.raises(FormatError, match="^line 2: 1001 vertices, over the state budget of 1000"):
+        parse_graph("# a comment\ngraph 1001\nedge 0 1\n")
+    monkeypatch.delenv("NFAI_STATE_BUDGET")
+    with pytest.raises(FormatError, match="^line 1: "):
+        parse_graph("graph 99999999\nedge 0 1\n")
