@@ -3,10 +3,11 @@ intersections.
 
 The package builds five product automata for the intersection of k NFA
 (direct, nodding, echoing, catch-up, leapfrog), decides intersection
-emptiness by lazy search over the sparsest of them, certifies either answer
-(short pathsets for non-emptiness, staggered cuts for emptiness) with a
-boolean-matrix-product verifier, and generates hard instances via the
-clique reduction.  See README.md for a tour.
+emptiness on a word-parallel closure of the sparsest of them, certifies
+either answer (short pathsets for non-emptiness, staggered cuts for
+emptiness, whose closure the verifier checks as the boolean matrix product
+``Out . Δ <= In`` on packed tuple sets), and generates hard instances via
+the clique reduction.  See README.md for a tour.
 """
 
 from .automata import (

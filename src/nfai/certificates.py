@@ -11,8 +11,9 @@ single-component moves.
 A cut is read off the word-parallel closure of the nodding table
 (``PreparedBundle.closure``) that decided the instance: its seen-mask of the
 base copy is every index-0 subset, and its seen-mask of petal copy (a, i),
-found by ``products.nodding_copy``, is subset (i, a).  The closure is kept on the prepared bundle with the state
-budget it ran under, so certifying after deciding costs no further moves.
+found by ``products.nodding_copy``, is subset (i, a).  The closure is kept
+on the prepared bundle with the state budget it ran under, so certifying
+after deciding costs no further moves.
 Only when the closure's work guard hands the bundle back does extraction
 walk the product state by state through ``products.reachable``.
 
@@ -178,14 +179,13 @@ def extract_staggered_cut(bundle: InstanceBundle) -> StaggeredCut:
     The base-copy tuples become every index-0 subset and the tuples of the
     (letter, volley i) copy become subset (i, letter).  The word-parallel
     closure of the nodding table (``PreparedBundle.closure``) gives them as
-    the seen-masks of those copies, run once
-    per bundle and state budget, so a cut extracted after ``decide_empty``
-    reuses the decision's closure; only when its work guard hands the
-    bundle back does the breadth-first walk of ``products.reachable``
-    collect them state by state.  Raises ValueError
-    if the instance turns out to be non-empty (no cut exists then), and
-    BudgetExceeded when the tuple space or the accessible part exceeds the
-    state budget.
+    the seen-masks of those copies, run once per bundle and state budget, so
+    a cut extracted after ``decide_empty`` reuses the decision's closure;
+    only when its work guard hands the bundle back does the breadth-first
+    walk of ``products.reachable`` collect them state by state.  Raises
+    ValueError if the instance turns out to be non-empty (no cut exists
+    then), and BudgetExceeded when the tuple space or the accessible part
+    exceeds the state budget.
     """
     prepared = bundle.prepared
     prepared.space.check_tuple_budget()

@@ -1,12 +1,13 @@
 """Mutation fuzzing of the untrusted inputs: bundle, graph and certificate
 texts.
 
-Valid texts are mutated - tokens swapped, lines dropped, lines inserted with
-declared counts up to 64 - and each parser must either parse the result or
-raise ``FormatError``; ``cli.main`` must answer 0, 1 or 2 without raising
-on ``decide``, ``certify``, ``verify``, ``product`` and ``gen``.  ``product``
-runs on two-block bundles only: the catch-up and leapfrog tables grow as
-l^k, so a 64-letter three-block bundle takes seconds per construction.
+Valid texts are mutated - tokens swapped, lines dropped, lines inserted,
+numbers redeclared as counts up to 64 - and each parser must either parse
+the result or raise ``FormatError``; ``cli.main`` must answer 0, 1 or 2
+without raising on ``decide``, ``certify``, ``verify``, ``product`` and
+``gen``.  ``product`` runs on two-block bundles only: the catch-up and
+leapfrog tables grow as l^k, so a 64-letter three-block bundle takes
+seconds per construction.
 """
 
 import io
@@ -14,7 +15,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nfai.certificates import (
@@ -22,7 +23,7 @@ from nfai.certificates import (
 )
 from nfai.cli import main
 from nfai.decision import decide_empty
-from nfai.fileformat import FormatError, parse_bundle, serialize_bundle
+from nfai.fileformat import FormatError, parse_bundle, serialize_automaton, serialize_bundle
 from nfai.hardness import clique_bundle, parse_graph, random_bundle, random_graph, serialize_graph
 from nfai.products import CONSTRUCTIONS
 
@@ -39,12 +40,20 @@ def _certificate(bundle) -> str:
 _BUNDLES = [random_bundle(k, n, l, d, ("fuzz", seed))
             for seed, (k, n, l, d) in enumerate([(2, 3, 2, 0.5), (2, 2, 1, 1.0), (3, 2, 2, 0.5), (2, 4, 3, 0.2)])]
 _BUNDLES.append(clique_bundle(example_clique_graph(), 4))
-BUNDLE_TEXTS = [serialize_bundle(b) for b in _BUNDLES]
+BUNDLE_TEXTS = [serialize_bundle(b) for b in _BUNDLES] + [serialize_automaton(_BUNDLES[0].automata[0])]
 PAIRS = [(serialize_bundle(b), _certificate(b)) for b in _BUNDLES]
 CERT_TEXTS = [cert for _, cert in PAIRS]
 GRAPH_TEXTS = [serialize_graph(example_clique_graph()), serialize_graph(random_graph(6, 0.5, 1))]
 
 COUNT = st.integers(-1, 64)
+
+#: Texts that once escaped the parsers as bare ValueErrors: blocks over
+#: different alphabets, a negative alphabet, and a single block.
+ESCAPED = [
+    "nfa\nstates 1\nalphabet 1\ninitial 0\n---\nnfa\nstates 1\nalphabet 2\ninitial 0\n",
+    "nfa\nstates 1\nalphabet -1\ninitial 0\n---\nnfa\nstates 1\nalphabet -1\ninitial 0\n",
+    "nfa\nstates 1\nalphabet 1\ninitial 0\n",
+]
 
 
 def _line(words, fields=COUNT):
@@ -64,8 +73,16 @@ CERT_LINES = _line(["nfa-cert v1", "pathset", "cut", "k", "word", "run", "step",
 def mutated(draw, texts, inserted):
     lines = [line.split() for line in draw(st.sampled_from(texts)).splitlines()]
     for _ in range(draw(st.integers(1, 4))):
-        op = draw(st.sampled_from(("swap", "drop", "insert")))
-        if op == "insert":
+        op = draw(st.sampled_from(("swap", "drop", "insert", "count")))
+        numbers: dict = {}  # the numeric fields by directive, so that rare declarations get picked
+        for i, line in enumerate(lines):
+            for j, token in enumerate(line):
+                if token.lstrip("-").isdigit():
+                    numbers.setdefault(line[0], []).append((i, j))
+        if op == "count" and numbers:
+            i, j = draw(st.sampled_from(numbers[draw(st.sampled_from(sorted(numbers)))]))
+            lines[i][j] = str(draw(COUNT))
+        elif op == "insert":
             lines.insert(draw(st.integers(0, len(lines))), draw(inserted).split())
         elif op == "drop" and lines:
             del lines[draw(st.integers(0, len(lines) - 1))]
@@ -89,6 +106,9 @@ FUZZ = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCh
 
 @FUZZ
 @given(mutated(BUNDLE_TEXTS, BUNDLE_LINES))
+@example(ESCAPED[0])
+@example(ESCAPED[1])
+@example(ESCAPED[2])
 def test_bundle_parser_raises_only_format_errors(text):
     _parses_or_format_error(parse_bundle, text)
 
@@ -116,8 +136,7 @@ def _run(files: dict, *argv) -> int:
             return main([str(arg) for arg in args])
 
 
-PAIR_TEXTS = [bundle for bundle, _ in PAIRS]
-TWO_BLOCKS = [text for text, b in zip(BUNDLE_TEXTS, _BUNDLES) if b.k == 2]
+TWO_BLOCKS = [serialize_bundle(b) for b in _BUNDLES if b.k == 2]
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
