@@ -408,12 +408,9 @@ def close_table(table, prepared: "PreparedBundle", limit: int, name: str,
     final_mask = prepared.final_mask if stop else 0
     seen = {0: 1 << prepared.initial}
     fronts, layers = dict(seen), [seen[0]]
-    states = transitions = work = spent = 0
+    states = transitions = work = spent = met = 0
     width = 1
-    while True:
-        met = fronts.get(0, 0) & final_mask
-        if met:
-            return Closure(tuple(layers), seen, met, states, transitions)
+    while fronts and not (met := fronts.get(0, 0) & final_mask):
         states += sum(map(int.bit_count, fronts.values()))
         if states > limit:
             raise BudgetExceeded.exploring(name, limit)
@@ -435,14 +432,13 @@ def close_table(table, prepared: "PreparedBundle", limit: int, name: str,
             if fresh:
                 seen[t] = seen.get(t, 0) | fresh
                 fronts[t] = fresh
-        if not fronts:
-            return Closure(tuple(layers), seen, 0, states, transitions)
         if 0 in fronts:
             layers.append(fronts[0])
             grown = fronts[0].bit_count()
             if grown >= 2 * width:
                 work = spent  # a front that doubles pays for its level
             width, spent = grown, work
+    return Closure(tuple(layers), seen, met, states, transitions)
 
 
 class ProductBuilder:
