@@ -214,25 +214,54 @@ def _by_letter(a: Nfa) -> tuple:
     return tuple(lists.get(s, none) for s in range(a.n_letters))
 
 
-def reach_map(a: Nfa, max_len: int) -> Dict[tuple, dict]:
-    """Word reachability as sparse rows of bitmasks, for every word u with
-    1 <= |u| <= max_len: ``table[u]`` maps each state q that u leads
-    somewhere from to the mask with bit d set iff u leads from q to d; row q
-    of ``(s,) + u`` ORs u's rows at the successors of q on s.  No identity
-    rows for the empty word: the cost follows the transitions, not n."""
-    return _reach_rows(_by_letter(a), max_len)
+@dataclass(frozen=True)
+class WordRelations:
+    """One component's relations of the words u with 1 <= |u| <= k, each
+    distinct relation once: its transition monoid truncated at length k.
+
+    ``rows[r]`` is relation r as sparse rows of bitmasks: it maps each state
+    q that reaches some state to the mask with bit d set iff the relation
+    leads from q to d.  ``letters[s]`` is the id of letter s's relation, and
+    ``step[s, r]`` the id of the relation of s.u for the words u of relation
+    r; it is kept for every relation first reached by a word shorter than k,
+    the only ones a word of length <= k extends.
+    """
+
+    rows: tuple
+    letters: tuple
+    step: Dict[Tuple[int, int], int]
 
 
-def _reach_rows(letters: tuple, max_len: int) -> Dict[tuple, dict]:
-    """:func:`reach_map` from one component's per-letter successor dicts."""
-    table = {(s,): {q: sum(1 << d for d in dsts) for q, dsts in moves.items()}
-             for s, moves in enumerate(letters)} if max_len else {}
-    layer = list(table)
+def _word_relations(letters: tuple, max_len: int) -> WordRelations:
+    """Close one component's per-letter successor dicts under "prepend a
+    letter", breadth first from the letter relations up to length
+    ``max_len``: row q of s.u ORs u's rows at the successors of q on s, with
+    rows as bitmasks.  A relation is keyed by its rows in ascending state
+    order (every dict here inherits the sorted transitions' order), so it is
+    composed only at the shortest length where it first appears: the work
+    follows the distinct relations, never the l^k words.  No identity rows
+    for the empty word: the cost follows the transitions, not n."""
+    rows_of: list = []
+    ids: Dict[tuple, int] = {}
+    fresh: list = []
+
+    def intern(rows: dict) -> int:
+        key = (tuple(rows), tuple(rows.values()))
+        r = ids.get(key)
+        if r is None:
+            r = ids[key] = len(rows_of)
+            rows_of.append(rows)
+            fresh.append(r)
+        return r
+
+    bit = (1).__lshift__  # bit(d) == 1 << d; distinct bits sum to their OR
+    first = tuple(intern({q: sum(map(bit, dsts)) for q, dsts in moves.items()}) for moves in letters)
+    step = {}
     for _ in range(max_len - 1):
-        longer = []
-        for s, moves in enumerate(letters):
-            for u in layer:
-                rows = table[u]
+        layer, fresh = fresh, []
+        for r in layer:
+            rows = rows_of[r]
+            for s, moves in enumerate(letters):
                 out = {}
                 if rows:
                     for q, dsts in moves.items():
@@ -241,29 +270,20 @@ def _reach_rows(letters: tuple, max_len: int) -> Dict[tuple, dict]:
                             row |= rows.get(d, 0)
                         if row:
                             out[q] = row
-                table[(s,) + u] = out
-                longer.append((s,) + u)
-        layer = longer
-    return table
+                step[s, r] = intern(out)
+    return WordRelations(tuple(rows_of), first, step)
 
 
 def m_leq_k(bundle: InstanceBundle) -> int:
-    """Largest word-reachability relation over all components and words of
-    length <= k, as a count of (source, target) pairs; never exceeds n^2.
-    The empty word's n pairs are counted, not built.  The prepared
-    successor lists per word are read when a builder has built them;
-    otherwise one component's sparse reach rows are held at a time."""
-    k, most = bundle.k, 0
-    prepared = bundle.prepared
-    built = vars(prepared).get("words")  # the cached_property, if catch-up or leapfrog built it
-    for i, (a, letters) in enumerate(zip(bundle.automata, prepared.letters)):
-        if built is None:
-            # each table is dropped before the next is built
-            sizes = (sum(map(int.bit_count, rows.values())) for rows in _reach_rows(letters, k).values())
-        else:
-            sizes = (sum(map(len, lists.values())) for lists in built[i].values())
-        most = max(most, a.n_states, max(sizes, default=0))
-    return most
+    """m_<=k: the largest word-reachability relation over all components and
+    words of length <= k, as a count of (source, target) pairs; never
+    exceeds n^2.  The maximum is taken over each component's distinct
+    relations, its transition monoid truncated at length k
+    (``PreparedBundle.relations``), so no table per word is built.  The
+    empty word's n pairs are counted, not built."""
+    pairs = (sum(map(int.bit_count, rows.values()))
+             for relations in bundle.prepared.relations for rows in relations.rows)
+    return max(bundle.max_states, max(pairs, default=0))
 
 
 def _words(n_letters: int, length: int):
@@ -328,15 +348,29 @@ class PreparedBundle:
         return tuple(_by_letter(a) for a in self.automata)
 
     @cached_property
+    def relations(self) -> tuple:
+        """relations[i]: component i's :class:`WordRelations` up to length k."""
+        return tuple(_word_relations(letters, len(self.automata)) for letters in self.letters)
+
+    @cached_property
     def words(self) -> tuple:
         """words[i][u]: ``{q: states reached from q reading u}`` in component
-        i, for 1 <= |u| <= k; the length-1 entries are ``letters``, whose
-        mask rows only seed the longer words."""
-        return tuple(
-            {u: letters[u[0]] if len(u) == 1 else {q: _bits(row) for q, row in rows.items()}
-             for u, rows in _reach_rows(letters, len(self.automata)).items()}
-            for letters in self.letters
-        )
+        i, for 1 <= |u| <= k, filled in through the step table: the words
+        of one relation share one dict, each successor tuple ascending; a
+        letter's dict in ``letters`` stands for its relation."""
+        tables = []
+        for letters, relations in zip(self.letters, self.relations):
+            by_letter = dict(zip(relations.letters, letters))
+            lists = [by_letter[r] if r in by_letter else {q: _bits(row) for q, row in rows.items()}
+                     for r, rows in enumerate(relations.rows)]
+            step = relations.step
+            layer = [((s,), r) for s, r in enumerate(relations.letters)]
+            table = {u: lists[r] for u, r in layer}
+            for _ in range(len(self.automata) - 1):
+                layer = [((s,) + u, step[s, r]) for s in range(len(relations.letters)) for u, r in layer]
+                table.update((u, lists[r]) for u, r in layer)
+            tables.append(table)
+        return tuple(tables)
 
 
 #: The closure's work guard, in 64-bit words of big-int work: a move costs
@@ -350,11 +384,12 @@ class PreparedBundle:
 #: least twice its previous front, the work charged since that front is
 #: refunded, since the states it reaches outnumber all earlier ones and a
 #: front can double only log2 of the tuple space times; that keeps dense
-#: cliques, whose base fronts grow 1, 24, 278, 1572, 4296 there, on the
-#: closure.  Fronts of thin instances do not grow: two 200-state one-letter
-#: chains hand the nodding table back after 67 layers (about 12 ms), two
-#: 3000-state chains hand every table back before its first move (421 M
-#: words).
+#: cliques on the closure.  Their base fronts grow 1, 24, 276, 1542, 4392,
+#: 1068 on that benchmark instance (seed 7), and 1, 24, 278, 1572, 4296,
+#: 912 on the k=5 clique of ``random:24,0.5,1`` that CI decides.  Fronts of
+#: thin instances do not grow: two 200-state one-letter chains hand the
+#: nodding table back after 67 layers (about 12 ms), two 3000-state chains
+#: hand every table back before its first move (421 M words).
 CLOSURE_WORDS = 1 << 24
 CLOSURE_WORDS_PER_STATE = 2000
 
@@ -722,7 +757,9 @@ def builder_for(construction: str, bundle: InstanceBundle) -> ProductBuilder:
 
 #: Per construction, its (states, transitions) size bound as a function of
 #: the bundle's k, alphabet size l, largest component n (states) and m
-#: (transitions), and m_leq_k.  Accessible parts obey the same bounds.
+#: (transitions), and m_leq_k: the largest pair count over the distinct
+#: relations of each component's transition monoid truncated at length k,
+#: and n for the empty word.  Accessible parts obey the same bounds.
 SIZE_BOUNDS = {
     "direct": lambda k, l, n, m, mk: (n ** k, m ** k),
     "nodding": lambda k, l, n, m, mk: ((k * l - l + 1) * n ** k, k * m * n ** (k - 1)),

@@ -49,6 +49,37 @@ def complete_empty_bundle() -> InstanceBundle:
     return InstanceBundle((Nfa(n, l, complete, 0, frozenset()), Nfa(n, l, complete, 0, frozenset({0}))))
 
 
+def reach_map(a: Nfa, max_len: int) -> dict:
+    """Word reachability as sparse rows of bitmasks, one table per word u
+    with 1 <= |u| <= max_len: ``table[u]`` maps each state q that u leads
+    somewhere from to the mask with bit d set iff u leads from q to d; row q
+    of ``(s,) + u`` ORs u's rows at the successors of q on s.  No identity
+    rows for the empty word.  The reference the library's distinct word
+    relations are checked against."""
+    letters = [{} for _ in range(a.n_letters)]
+    for (q, s), dsts in a.adjacency.items():
+        letters[s][q] = dsts
+    table = {(s,): {q: sum(1 << d for d in dsts) for q, dsts in moves.items()}
+             for s, moves in enumerate(letters)} if max_len else {}
+    layer = list(table)
+    for _ in range(max_len - 1):
+        longer = []
+        for s, moves in enumerate(letters):
+            for u in layer:
+                rows = table[u]
+                out = {}
+                for q, dsts in moves.items():
+                    row = 0
+                    for d in dsts:
+                        row |= rows.get(d, 0)
+                    if row:
+                        out[q] = row
+                table[(s,) + u] = out
+                longer.append((s,) + u)
+        layer = longer
+    return table
+
+
 @st.composite
 def bundles(draw, max_k: int = 4):
     """Hypothesis bundles: k from 2 to ``max_k`` components of 1-5 states

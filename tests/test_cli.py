@@ -11,6 +11,7 @@ from nfai.automata import InstanceBundle, Nfa
 from nfai.cli import main
 from nfai.fileformat import parse_automaton, parse_bundle, serialize_bundle
 from nfai.hardness import clique_bundle, serialize_graph
+from nfai.products import DEFAULT_STATE_BUDGET
 from nfai.relations import equality_relation
 from nfai.fileformat import serialize_automaton
 
@@ -168,8 +169,11 @@ def test_gen_refuses_graphs_over_the_state_budget(tmp_path, monkeypatch, capsys)
     assert capsys.readouterr().err.startswith("error: line 1: 99999999 vertices")
     assert main(["gen", "clique", "--graph", "random:1001,0.5,1", "--k", "4", "-o", str(out)]) == 2
     assert capsys.readouterr().err == "error: random graph has 1001 vertices, over the state budget of 1000\n"
+    # 1000 vertices are within the budget, but not p * n(n-1)/2 = 4995 expected edges
+    assert main(["gen", "clique", "--graph", "random:1000,0.01,1", "--k", "3", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: random graph expects 4995 edges, over the state budget of 1000\n"
     assert not out.exists()
-    assert main(["gen", "clique", "--graph", "random:1000,0.01,1", "--k", "3", "-o", str(out)]) == 0
+    assert main(["gen", "clique", "--graph", "random:1000,0.002,1", "--k", "3", "-o", str(out)]) == 0
 
 
 def test_decide_reports_the_line_of_a_mismatched_block(tmp_path, capsys):
@@ -324,16 +328,16 @@ HOSTILE_BUNDLE = (
 )
 
 
-def _run_capped(args, cwd):
-    """Run ``nfai`` in a child process with NFAI_STATE_BUDGET=1000, a 10 s
-    timeout and about 1 GB of address space, so a run that tries to
+def _run_capped(args, cwd, budget=1000):
+    """Run ``nfai`` in a child process with NFAI_STATE_BUDGET=``budget``, a
+    10 s timeout and about 1 GB of address space, so a run that tries to
     allocate per declared state fails there, not in the test process."""
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     src = str(Path(nfai.__file__).resolve().parents[1])
-    env = dict(os.environ, NFAI_STATE_BUDGET="1000",
+    env = dict(os.environ, NFAI_STATE_BUDGET=str(budget),
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, "-c", "import sys; from nfai.cli import main; sys.exit(main())", *args],
@@ -353,6 +357,16 @@ def test_hostile_bundle_costs_its_transitions(tmp_path, args, code, message):
     done = _run_capped(args, tmp_path)
     assert (done.returncode, "Traceback" in done.stderr) == (code, False), done.stderr
     assert message in done.stderr
+
+
+def test_random_graph_refused_by_its_expected_edges(tmp_path):
+    # 30,000 vertices are within the default budget, but about 225 M
+    # expected edges are not: refused before the graph is drawn
+    done = _run_capped(["gen", "clique", "--graph", "random:30000,0.5,1", "--k", "4", "-o", "big.nfa"],
+                       tmp_path, budget=DEFAULT_STATE_BUDGET)
+    assert (done.returncode, "Traceback" in done.stderr) == (2, False), done.stderr
+    assert done.stderr == "error: random graph expects 224992500 edges, over the state budget of 10000000\n"
+    assert not (tmp_path / "big.nfa").exists()
 
 
 def _letterless_bundle_text(first_final):

@@ -20,11 +20,10 @@ from nfai.products import (
     materialize,
     nodding_copy,
     nodding_tag,
-    reach_map,
     stats_csv_row,
 )
 
-from helpers import acceptance_corpus, all_words
+from helpers import acceptance_corpus, all_words, bundles, reach_map
 
 
 def small_bundles(count, k=2, n=3, l=2):
@@ -178,40 +177,65 @@ def test_m_leq_k_matches_subset_simulation_on_corpus():
         assert m_leq_k(bundle) == best
 
 
+def _bit_positions(row):
+    return tuple(d for d in range(row.bit_length()) if row >> d & 1)
+
+
+@given(bundles())
+def test_word_relations_match_reach_map(bundle):
+    """Differential check of the distinct-relation closure: each word's
+    prepared successor lists equal its reference reach rows, words of equal
+    relations share one dict, and m_leq_k equals a subset-simulation brute
+    force over every word of length <= k."""
+    k, prepared = bundle.k, bundle.prepared
+    best = bundle.max_states
+    for a, words in zip(bundle.automata, prepared.words):
+        reference = reach_map(a, k)
+        assert words.keys() == reference.keys()
+        shared = {}
+        for u, rows in reference.items():
+            assert words[u] == {q: _bit_positions(row) for q, row in rows.items()}
+            assert shared.setdefault(tuple(sorted(rows.items())), words[u]) is words[u]
+            pairs = 0
+            for p in range(a.n_states):
+                current = {p}
+                for letter in u:
+                    current = {d for q in current for d in a.successors(q, letter)}
+                pairs += len(current)
+            best = max(best, pairs)
+        # the table holds one dict per distinct relation
+        assert len({id(lists) for lists in words.values()}) == len(shared)
+    assert m_leq_k(bundle) == best
+
+
 def test_m_leq_k_holds_one_table_at_a_time(monkeypatch):
-    # one accessible_stats call on nodding builds each component's reach
-    # rows once, from the prepared letter lists, and only one component's
-    # table is alive at a time
+    # m_leq_k builds each component's distinct relations once, from the
+    # prepared letter lists, and no table per word; the relations of the
+    # 30-letter bundle repeat, so they number far fewer than its words
     import nfai.products as products
 
-    reach_rows, calls, alive = products._reach_rows, [], []
-
-    class Table(dict):
-        def __del__(self):
-            alive.remove(id(self))
-
-    def counting_reach_rows(letters, max_len):
-        calls.append(letters)
-        table = Table(reach_rows(letters, max_len))
-        alive.append(id(table))
-        assert len(alive) == 1, "an earlier component's table is still held"
-        return table
-
-    monkeypatch.setattr(products, "_reach_rows", counting_reach_rows)
-    bundle = random_bundle(3, 3, 2, 0.6, "once")
+    relations, calls = products._word_relations, []
+    monkeypatch.setattr(products, "_word_relations",
+                        lambda letters, max_len: calls.append(letters) or relations(letters, max_len))
+    bundle = random_bundle(3, 3, 30, 0.1, "once")
     stats, _ = accessible_stats("nodding", bundle)
     assert list(map(id, calls)) == list(map(id, bundle.prepared.letters))
-    assert not alive and stats.m_leq_k == m_leq_k(bundle)
+    assert "words" not in vars(bundle.prepared)
+    assert stats.m_leq_k == m_leq_k(bundle) and len(calls) == bundle.k
+    n_words = sum(30 ** length for length in range(1, 4))
+    assert all(len(r.rows) < n_words // 100 for r in bundle.prepared.relations)
 
 
 @pytest.mark.parametrize("construction", CONSTRUCTIONS)
 def test_reach_rows_built_once_per_stats_call(construction, monkeypatch):
-    # catch-up and leapfrog build the rows for their word lists, which
-    # m_leq_k then reads; the others build them in m_leq_k alone
+    # one accessible_stats call closes each component's word relations
+    # once: catch-up and leapfrog fill their word lists from them, which
+    # m_leq_k then shares; the others build them in m_leq_k alone
     import nfai.products as products
 
-    reach_rows, calls = products._reach_rows, []
-    monkeypatch.setattr(products, "_reach_rows", lambda letters, max_len: calls.append(1) or reach_rows(letters, max_len))
+    relations, calls = products._word_relations, []
+    monkeypatch.setattr(products, "_word_relations",
+                        lambda letters, max_len: calls.append(1) or relations(letters, max_len))
     bundle = random_bundle(3, 3, 2, 0.6, "rows")
     stats, _ = accessible_stats(construction, bundle)
     assert len(calls) == bundle.k
