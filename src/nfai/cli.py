@@ -119,9 +119,8 @@ def _parse_random_graph(spec: str) -> hardness.UndirectedGraph:
         if n > (limit := products.state_budget()):
             raise products.BudgetExceeded(f"random graph has {n} vertices, over the state budget of {limit}")
         # random_graph keeps about p * n(n-1)/2 edges: refuse them before drawing
-        if p * n * (n - 1) / 2 > limit:
-            raise products.BudgetExceeded(
-                f"random graph expects {p * n * (n - 1) / 2:.0f} edges, over the state budget of {limit}")
+        if (edges := p * n * (n - 1) / 2) > limit:
+            raise products.BudgetExceeded(f"random graph expects {edges:.0f} edges, over the state budget of {limit}")
         return hardness.random_graph(n, p, int(seed_text))
     except ValueError as exc:
         raise ValueError(f"bad random graph spec {spec!r}; expected random:n,p,seed") from exc
