@@ -35,7 +35,7 @@ booleans, so tests can assert exactly which condition a mutation violates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from .automata import EPSILON, InstanceBundle, RunViolation, run_is_accepting, validate_run
 from .boolmatrix import BoolMatrix
@@ -214,14 +214,14 @@ def _cut_by_walk(bundle: InstanceBundle) -> StaggeredCut:
     """:func:`extract_staggered_cut` one product state at a time."""
     builder = builder_for("nodding", bundle)
     k, l, base_size = bundle.k, bundle.n_letters, builder.space.base_size
-    members: List[List[int]] = [[] for _ in range(builder.space.n_tags)]
+    members: Dict[int, List[int]] = {}  # per copy reached, its tuples
     for sid, _ in reachable(builder):
         if builder.is_final(sid):
             raise ValueError("intersection is non-empty; no staggered cut exists")
         tag, rest = divmod(sid, base_size)
-        members[tag].append(rest)
-    masks = [_mask_of(tids, base_size) for tids in members]
-    volleys = [masks[nodding_copy(letter, i, k)] for i in range(1, k) for letter in range(l)]
+        members.setdefault(tag, []).append(rest)
+    masks = {tag: _mask_of(tids, base_size) for tag, tids in members.items()}
+    volleys = [masks.get(nodding_copy(letter, i, k), 0) for i in range(1, k) for letter in range(l)]
     return StaggeredCut(l, builder.sizes, tuple([masks[0]] * l + volleys))
 
 

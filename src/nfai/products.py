@@ -14,13 +14,15 @@ accessible part:
 * ``leapfrog`` - epsilon-free; components take turns jumping a whole k-letter
   window ahead, so copies are tagged by the last k-1 letters only.
 
-The four sparse constructions are one idea wired four ways: copies of the
-state-tuple space, tagged by the letters still owed, joined by volleys that
-each advance one component through one word relation into the next copy.
-Each is described as data - its copy tags, the volleys leaving each copy and
-the component states a final tuple of each copy needs - and
-``ProductBuilder`` reads successors, finality and size totals off that
-table.
+The four sparse constructions are one idea wired four ways: numbered
+copies of the state-tuple space, set apart by the letters still owed,
+joined by volleys that each advance one component through one word
+relation into the next copy.  Each is described as data - the volleys
+leaving each copy and the states a final tuple of each accepting copy
+needs - and ``ProductBuilder`` reads successors, finality and size totals
+off that table.  The nodding and echoing tables are filled on first lookup,
+so a walk builds only the copies it reaches, a witness run's included; only
+catch-up and leapfrog name their copies by tags.
 
 Every sparse construction is also explored word-parallel by one loop,
 ``close_table``: it holds each set of reached tuples as one bitmask over the
@@ -32,11 +34,9 @@ meets a final tuple, a single forward pass decides both outcomes: it counts
 what the list search would explore, and copy 0's layers hold what the
 decision needs to rebuild the witness run.  One work guard hands thin
 accessible parts in large tuple spaces back to the state-by-state walk.
-The nodding copies are numbered arithmetically (``nodding_copy``), so a
-witness run is read without building the table of every letter.
 
-All constructions share a mixed-radix state encoding with the copy tag most
-significant and component 0 least significant, so tuples of the tag-0 copy
+All constructions share a mixed-radix state encoding with the copy number
+most significant and component 0 least significant, so tuples of copy 0
 occupy a contiguous prefix of the id space.
 """
 
@@ -46,7 +46,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .automata import EPSILON, EpsilonNfa, InstanceBundle, Nfa
@@ -223,8 +223,9 @@ class WordRelations:
     q that reaches some state to the mask with bit d set iff the relation
     leads from q to d.  ``letters[s]`` is the id of letter s's relation, and
     ``step[s, r]`` the id of the relation of s.u for the words u of relation
-    r; it is kept for every relation first reached by a word shorter than k,
-    the only ones a word of length <= k extends.
+    r; it is kept for the letters that move and every relation first reached
+    by a word shorter than k, the only ones a word of length <= k extends,
+    and a missing entry stands for relation 0, the empty relation.
     """
 
     rows: tuple
@@ -239,8 +240,9 @@ def _word_relations(letters: tuple, max_len: int) -> WordRelations:
     rows as bitmasks.  A relation is keyed by its rows in ascending state
     order (every dict here inherits the sorted transitions' order), so it is
     composed only at the shortest length where it first appears: the work
-    follows the distinct relations, never the l^k words.  No identity rows
-    for the empty word: the cost follows the transitions, not n."""
+    follows the distinct relations, never the l^k words, and only the
+    letters that move are composed.  No identity rows for the empty word:
+    the cost follows the transitions, not n."""
     rows_of: list = []
     ids: Dict[tuple, int] = {}
     fresh: list = []
@@ -255,23 +257,25 @@ def _word_relations(letters: tuple, max_len: int) -> WordRelations:
         return r
 
     bit = (1).__lshift__  # bit(d) == 1 << d; distinct bits sum to their OR
-    first = tuple(intern({q: sum(map(bit, dsts)) for q, dsts in moves.items()}) for moves in letters)
+    first = [intern({})] * len(letters)  # the empty relation is 0
+    moving = [(s, moves) for s, moves in enumerate(letters) if moves]
+    for s, moves in moving:
+        first[s] = intern({q: sum(map(bit, dsts)) for q, dsts in moves.items()})
     step = {}
     for _ in range(max_len - 1):
         layer, fresh = fresh, []
         for r in layer:
             rows = rows_of[r]
-            for s, moves in enumerate(letters):
+            for s, moves in moving:
                 out = {}
-                if rows:
-                    for q, dsts in moves.items():
-                        row = 0
-                        for d in dsts:
-                            row |= rows.get(d, 0)
-                        if row:
-                            out[q] = row
+                for q, dsts in moves.items():
+                    row = 0
+                    for d in dsts:
+                        row |= rows.get(d, 0)
+                    if row:
+                        out[q] = row
                 step[s, r] = intern(out)
-    return WordRelations(tuple(rows_of), first, step)
+    return WordRelations(tuple(rows_of), tuple(first), step)
 
 
 def m_leq_k(bundle: InstanceBundle) -> int:
@@ -300,6 +304,18 @@ def _bits(row: int) -> tuple:
     return tuple(out)
 
 
+class _Table(dict):
+    """A copy table filled on first lookup, ``table[t] = fill(t)``; ``fill``
+    is a partial over plain data, so it forms no cycle with its owner."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, copy: int) -> list:
+        volleys = self[copy] = self.fill(copy)
+        return volleys
+
+
 class PreparedBundle:
     """Per-bundle tables for the builders, the decision, the cut extraction
     and both cut verifiers, kept as ``InstanceBundle.prepared``, each built on
@@ -325,17 +341,11 @@ class PreparedBundle:
 
     @cached_property
     def nodding(self) -> Dict[int, list]:
-        """The nodding product's copy table, ``{copy: nodding_volleys(copy)}``,
-        over the base copy and the petal copies of the letters component 0
-        moves on: the only copies reachable, so a bundle declaring many
-        letters costs only its moving ones."""
-        k = len(self.letters)
-        table = {0: nodding_volleys(self.letters, 0)}
-        for _, _, letter, _ in table[0]:
-            for j in range(1, k):
-                copy = nodding_copy(letter, j, k)
-                table[copy] = nodding_volleys(self.letters, copy)
-        return table
+        """The nodding product's copy table, ``{copy: nodding_volleys(letters,
+        copy)}``, numbered by :func:`nodding_copy` and filled on first lookup:
+        the closure, the list search and the walk build only the copies they
+        reach, so a bundle declaring many letters costs only its moving ones."""
+        return _Table(partial(nodding_volleys, self.letters))
 
     @cached_property
     def final_mask(self) -> int:
@@ -355,9 +365,9 @@ class PreparedBundle:
     @cached_property
     def words(self) -> tuple:
         """words[i][u]: ``{q: states reached from q reading u}`` in component
-        i, for 1 <= |u| <= k, filled in through the step table: the words
-        of one relation share one dict, each successor tuple ascending; a
-        letter's dict in ``letters`` stands for its relation."""
+        i, for 1 <= |u| <= k, filled in through the step table (a missing
+        entry is relation 0): the words of one relation share one dict, each
+        successor tuple ascending; a letter's dict stands for its relation."""
         tables = []
         for letters, relations in zip(self.letters, self.relations):
             by_letter = dict(zip(relations.letters, letters))
@@ -367,7 +377,7 @@ class PreparedBundle:
             layer = [((s,), r) for s, r in enumerate(relations.letters)]
             table = {u: lists[r] for u, r in layer}
             for _ in range(len(self.automata) - 1):
-                layer = [((s,) + u, step[s, r]) for s in range(len(relations.letters)) for u, r in layer]
+                layer = [((s,) + u, step.get((s, r), 0)) for s in range(len(relations.letters)) for u, r in layer]
                 table.update((u, lists[r]) for u, r in layer)
             tables.append(table)
         return tuple(tables)
@@ -480,66 +490,35 @@ class ProductBuilder:
     """Lazy view of one product construction over one bundle, as a table of
     copies and volleys.
 
-    A sparse product is made of copies of the state-tuple space, one per tag
-    in ``tags``; ``tag_index`` maps a tag to its position, the most
-    significant digit of a state id, and copy 0 holds the initial tuple.
-    ``moves[t]`` lists the volleys that leave copy t, each as ``(component,
-    lists, label, next_tag)``: reading ``label``, the component moves from
-    state q to every state of ``lists[q]`` (a dict from the prepared bundle,
-    holding only the states that move), the other components stay, and the
-    tuple lands in copy ``next_tag``.  ``accept[t]`` gives, per component, the states a final
-    tuple of copy t needs, or None if the copy holds no final state.
+    A sparse product is made of copies of the state-tuple space, numbered
+    from 0, the copy of the initial tuple; the copy number is the most
+    significant digit of a state id.  ``moves[t]`` lists the volleys that
+    leave copy t, each as ``(component, lists, label, next copy)``: reading
+    ``label``, the component moves from state q to every state of
+    ``lists[q]`` (a dict from the prepared bundle, holding only the states
+    that move), the other components stay, and the tuple lands in the next
+    copy.  ``accept`` maps each copy holding final states to the states, per
+    component, that a final tuple of it needs.
 
-    Subclasses describe their copies through ``_tags``, ``_volleys`` and
-    ``_accept``; successors (label ascending, then target id), finality and
-    the size totals are all read off the table, so search, materialization
-    and statistics share one definition of the automaton.
+    Nodding and echoing fill ``moves`` on first lookup; only catch-up and
+    leapfrog name their copies by tags (``_WordBuilder``).  A copy's volleys
+    come in label order, ties by next copy, so successors come out by label,
+    then target id, unsorted.  Search, materialization and statistics all
+    read this one table.
     """
 
     construction: str = ""
     epsilon = False
 
-    def __init__(self, bundle: InstanceBundle):
+    def __init__(self, bundle: InstanceBundle, n_copies: int = 1):
         self.prepared = bundle.prepared
         self.k = bundle.k
         self.n_letters = bundle.n_letters
         self.sizes = self.prepared.space.sizes
         self.finals = tuple(a.finals for a in bundle.automata)
-        self.tags = self._tags()
-        self.tag_index = {tag: i for i, tag in enumerate(self.tags)}
-        self.space = ProductSpace(self.sizes, len(self.tags))
+        self.space = ProductSpace(self.sizes, n_copies)
         self.initial = self.prepared.initial  # copy 0 starts the id space
-        self.moves = [
-            [(comp, lists, label, self.tag_index[nxt]) for comp, lists, label, nxt in self._volleys(tag)]
-            for tag in self.tags
-        ]
-        self.accept = [self._accept(tag) for tag in self.tags]
-        # a copy whose volleys carry strictly increasing labels already
-        # yields its successors sorted; only the others need a sort
-        self._needs_sort = [
-            any(a[2] >= b[2] for a, b in zip(moves, moves[1:])) for moves in self.moves
-        ]
-
-    def _tags(self) -> list:
-        """The copy tags, the copy of the initial tuple first."""
-        return ["base"]
-
-    def _volleys(self, tag) -> list:
-        """``(component, lists, label, next tag)`` for each volley leaving
-        the copy ``tag``, in label order."""
-        return []
-
-    def _accept(self, tag):
-        """Per component, the states a final tuple of copy ``tag`` needs;
-        None if the copy holds no final state."""
-        return self.finals
-
-    def _can_finish(self, i: int, u: tuple) -> frozenset:
-        """The states of component i that reach a final state reading u."""
-        finals = self.finals[i]
-        if not u:
-            return finals
-        return frozenset(q for q, dsts in self.prepared.words[i][u].items() if not finals.isdisjoint(dsts))
+        self.accept = {0: self.finals}
 
     def successors(self, sid: int) -> list:
         space = self.space
@@ -553,14 +532,12 @@ class ProductBuilder:
                 offset = nxt * base + rest - q * stride
                 for dst in lists[q]:
                     out.append((label, offset + dst * stride))
-        if self._needs_sort[tag]:
-            out.sort()
         return out
 
     def is_final(self, sid: int) -> bool:
         space = self.space
         tag, rest = divmod(sid, space.base_size)
-        accept = self.accept[tag]
+        accept = self.accept.get(tag)
         if accept is None:
             return False
         for allowed, stride, n in zip(accept, space.strides, self.sizes):
@@ -570,16 +547,6 @@ class ProductBuilder:
 
     def total_states(self) -> int:
         return self.space.total
-
-    def total_transitions(self) -> int:
-        # a volley moving component i through lists fires once per pair in
-        # lists for each of the base_size / n_i settings of the others
-        base = self.space.base_size
-        return sum(
-            sum(map(len, lists.values())) * (base // self.sizes[comp])
-            for moves in self.moves
-            for comp, lists, _, _ in moves
-        )
 
 
 class _DirectBuilder(ProductBuilder):
@@ -607,17 +574,18 @@ class _DirectBuilder(ProductBuilder):
         )
 
 
-def nodding_volleys(letters: tuple, copy: int) -> list:
+def nodding_volleys(letters: tuple, copy: int, echo: bool = False) -> list:
     """The volleys leaving the nodding product's copy ``copy``, as
-    ``(component, lists, letter, next copy)`` over the per-component letter
+    ``(component, lists, label, next copy)`` over the per-component letter
     lists ``letters``.  From the base, component 0 reads each letter it
     moves on into copy (letter, 1); from copy (letter, j), component j moves
-    on the letter into (letter, j + 1), the last volley back into the base."""
+    on it by epsilon (by the letter if ``echo``) into (letter, j + 1), the
+    last volley back into the base."""
     k = len(letters)
     if copy == 0:
         return [(0, lists, a, nodding_copy(a, 1, k)) for a, lists in enumerate(letters[0]) if lists]
     a, j = nodding_tag(copy, k)
-    return [(j, letters[j][a], a, nodding_copy(a, j + 1, k) if j < k - 1 else 0)]
+    return [(j, letters[j][a], a if echo else EPSILON, nodding_copy(a, j + 1, k) if j < k - 1 else 0)]
 
 
 def nodding_copy(letter: int, j: int, k: int) -> int:
@@ -637,22 +605,21 @@ def nodding_tag(copy: int, k: int) -> tuple:
 
 class _NoddingBuilder(ProductBuilder):
     """A flower of one petal per letter, glued at the base copy, as
-    :func:`nodding_volleys` describes it; the moves after the first of a
-    petal are epsilon moves."""
+    :func:`nodding_volleys` describes it over 1 + l(k-1) copies, sharing the
+    prepared bundle's table; the moves after the first of a petal are epsilon."""
 
     construction = "nodding"
     epsilon = True
 
-    def _tags(self) -> list:
-        return ["base"] + [nodding_tag(copy, self.k) for copy in range(1, 1 + self.n_letters * (self.k - 1))]
+    def __init__(self, bundle: InstanceBundle):
+        super().__init__(bundle, 1 + bundle.n_letters * (bundle.k - 1))
+        letters = self.prepared.letters
+        self.moves = self.prepared.nodding if self.epsilon else _Table(partial(nodding_volleys, letters, echo=True))
 
-    def _volleys(self, tag) -> list:
-        copy = 0 if tag == "base" else nodding_copy(*tag, self.k)
-        return [(comp, lists, EPSILON if comp and self.epsilon else letter, self.tags[nxt])
-                for comp, lists, letter, nxt in nodding_volleys(self.prepared.letters, copy)]
-
-    def _accept(self, tag):
-        return self.finals if tag == "base" else None
+    def total_transitions(self) -> int:
+        # each transition of component i fires once per setting of the others
+        base = self.space.base_size
+        return sum(a.m * (base // n) for a, n in zip(self.prepared.automata, self.sizes))
 
 
 class _EchoingBuilder(_NoddingBuilder):
@@ -663,7 +630,41 @@ class _EchoingBuilder(_NoddingBuilder):
     epsilon = False
 
 
-class _CatchupBuilder(ProductBuilder):
+class _WordBuilder(ProductBuilder):
+    """Copies named by tags over words, built whole since there are l^k by
+    construction: ``tags`` lists them, copy 0 first, and ``tag_index`` maps
+    a tag to its copy number.  Subclasses describe each copy through
+    ``_tags``, ``_volleys`` and ``_accept`` (None: the copy never accepts)."""
+
+    def __init__(self, bundle: InstanceBundle):
+        self.tags = self._tags(bundle.k, bundle.n_letters)
+        super().__init__(bundle, len(self.tags))
+        self.tag_index = {tag: i for i, tag in enumerate(self.tags)}
+        self.moves = [
+            [(comp, lists, label, self.tag_index[nxt]) for comp, lists, label, nxt in self._volleys(tag)]
+            for tag in self.tags
+        ]
+        self.accept = {t: allowed for t, allowed in enumerate(map(self._accept, self.tags)) if allowed is not None}
+
+    def _can_finish(self, i: int, u: tuple) -> frozenset:
+        """The states of component i that reach a final state reading u."""
+        finals = self.finals[i]
+        if not u:
+            return finals
+        return frozenset(q for q, dsts in self.prepared.words[i][u].items() if not finals.isdisjoint(dsts))
+
+    def total_transitions(self) -> int:
+        # a volley moving component i through lists fires once per pair in
+        # lists for each of the base_size / n_i settings of the others
+        base = self.space.base_size
+        return sum(
+            sum(map(len, lists.values())) * (base // self.sizes[comp])
+            for moves in self.moves
+            for comp, lists, _, _ in moves
+        )
+
+
+class _CatchupBuilder(_WordBuilder):
     """From the base copy, one petal per k-letter word u: copy ``("petal",
     u, j)`` moves component j by the whole word u, reading ``u[j]``, and the
     last volley returns to the base.  Per shorter word v a tail does the
@@ -672,8 +673,7 @@ class _CatchupBuilder(ProductBuilder):
 
     construction = "catchup"
 
-    def _tags(self) -> list:
-        k, l = self.k, self.n_letters
+    def _tags(self, k: int, l: int) -> list:
         tags = [("base",)]
         tags += [("petal", u, j) for u in _words(l, k) for j in range(1, k)]
         tags += [("tail", v, j) for t in range(1, k) for v in _words(l, t) for j in range(1, t + 1)]
@@ -682,9 +682,10 @@ class _CatchupBuilder(ProductBuilder):
     def _volleys(self, tag) -> list:
         k, l, words = self.k, self.n_letters, self.prepared.words
         if tag[0] == "base":
+            # the only copy whose labels repeat: a stable sort keeps ``tags`` order
             firsts = [("petal", u, 1) for u in _words(l, k)]
             firsts += [("tail", v, 1) for t in range(1, k) for v in _words(l, t)]
-            return [(0, words[0][nxt[1]], nxt[1][0], nxt) for nxt in firsts]
+            return sorted(((0, words[0][nxt[1]], nxt[1][0], nxt) for nxt in firsts), key=lambda volley: volley[2])
         kind, u, j = tag
         if j == len(u):  # the last tail copy
             return []
@@ -700,7 +701,7 @@ class _CatchupBuilder(ProductBuilder):
         return tuple(self.finals[i] if i < j else self._can_finish(i, v) for i in range(self.k))
 
 
-class _LeapfrogBuilder(ProductBuilder):
+class _LeapfrogBuilder(_WordBuilder):
     """Components take turns jumping a whole k-letter window ahead.  An
     initialization tree over words u of length <= k-2, in which component
     |u| moves next, leads to the main copies ``("main", i, u)``: component
@@ -709,8 +710,7 @@ class _LeapfrogBuilder(ProductBuilder):
 
     construction = "leapfrog"
 
-    def _tags(self) -> list:
-        k, l = self.k, self.n_letters
+    def _tags(self, k: int, l: int) -> list:
         tags = [("tree", u) for t in range(k - 1) for u in _words(l, t)]
         return tags + [("main", i, u) for i in range(k) for u in _words(l, k - 1)]
 
@@ -902,5 +902,5 @@ def accessible_stats(
     else:
         states, transitions = closure.states, closure.transitions
         nonempty = any(mask & builder.prepared.space.product_mask(builder.accept[t])
-                       for t, mask in closure.seen.items() if builder.accept[t] is not None)
+                       for t, mask in closure.seen.items() if t in builder.accept)
     return _stats(builder, bundle, states, transitions), nonempty

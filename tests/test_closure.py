@@ -249,15 +249,15 @@ HUGE_ALPHABET_BUNDLE = (
 )
 
 
-def _capped_cli(cwd, *args):
-    """``nfai *args`` in a child process with NFAI_STATE_BUDGET=1000 and
-    about 1 GB of address space, so a run that allocates per letter fails
-    there."""
+def _capped_cli(cwd, *args, budget=1000):
+    """``nfai *args`` in a child process with NFAI_STATE_BUDGET=``budget``
+    and about 1 GB of address space, so a run that allocates per letter
+    fails there."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     src = str(Path(nfai.__file__).resolve().parents[1])
-    env = dict(os.environ, NFAI_STATE_BUDGET="1000",
+    env = dict(os.environ, NFAI_STATE_BUDGET=str(budget),
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-c", "import sys; from nfai.cli import main; sys.exit(main())", *args],
@@ -285,3 +285,30 @@ def test_huge_alphabet_witness_costs_its_moving_letters(tmp_path):
     assert _capped_cli(tmp_path, "certify", "huge.nfa", "-o", "huge.cert").returncode == 0
     done = _capped_cli(tmp_path, "verify", "huge.nfa", "huge.cert")
     assert (done.returncode, done.stdout) == (0, "VALID pathset\n"), done.stderr
+
+
+def test_huge_alphabet_hand_back_costs_its_moving_letters(tmp_path):
+    """Under a budget of 3 the 4-tuple space is over the budget, so the
+    closure hands the bundle back to the list search, which fills only the
+    nodding copies it reaches."""
+    (tmp_path / "huge.nfa").write_text(HUGE_ALPHABET_BUNDLE)
+    done = _capped_cli(tmp_path, "decide", "huge.nfa", budget=3)
+    assert (done.returncode, done.stdout) == (1, "EMPTY\n"), done.stderr
+    assert "explored_states=2 explored_transitions=1" in done.stderr
+    (tmp_path / "huge.nfa").write_text(HUGE_ALPHABET_BUNDLE + "final 1\ntrans 0 0 1\n")
+    done = _capped_cli(tmp_path, "decide", "huge.nfa", budget=3)
+    assert (done.returncode, done.stdout) == (0, "NONEMPTY 0\n"), done.stderr
+    assert "explored_states=3 explored_transitions=2" in done.stderr
+    assert _capped_cli(tmp_path, "certify", "huge.nfa", "-o", "huge.cert", budget=3).returncode == 0
+    done = _capped_cli(tmp_path, "verify", "huge.nfa", "huge.cert", budget=3)
+    assert (done.returncode, done.stdout) == (0, "VALID pathset\n"), done.stderr
+
+
+@pytest.mark.parametrize("construction", ["nodding", "echoing"])
+def test_huge_alphabet_product_costs_its_moving_letters(tmp_path, construction):
+    """The accessible part walks three states; its totals and m_leq_k are
+    computed from the moving letters, not from 2,000,000 copies."""
+    (tmp_path / "huge.nfa").write_text(HUGE_ALPHABET_BUNDLE + "final 1\ntrans 0 0 1\n")
+    done = _capped_cli(tmp_path, "product", "--construction", construction, "huge.nfa", "-o", "huge.out")
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.endswith(f"\n{construction},2,2000000,2,1,3,2,2\n")

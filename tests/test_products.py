@@ -20,6 +20,7 @@ from nfai.products import (
     materialize,
     nodding_copy,
     nodding_tag,
+    reachable,
     stats_csv_row,
 )
 
@@ -278,12 +279,21 @@ def test_direct_product_empty_finals():
 # --- nodding product ------------------------------------------------------------
 
 def test_nodding_copy_count():
+    # the copies are numbered arithmetically and each is filled on first
+    # lookup, so a walk fills exactly the copies it reaches
     for k, l in ((2, 3), (3, 2), (3, 3)):
         bundle = random_bundle(k, 2, l, 0.5, ("copies", k, l))
         builder = builder_for("nodding", bundle)
         assert builder.space.n_tags == (k - 1) * l + 1
-        for tag, copy in builder.tag_index.items():
-            assert tag == "base" or (nodding_copy(*tag, k), nodding_tag(copy, k)) == (copy, tag)
+        assert builder.moves is bundle.prepared.nodding and not builder.moves
+        reached = {sid // builder.space.base_size for sid, _ in reachable(builder)}
+        assert set(builder.moves) == reached
+        for copy in range(1, builder.space.n_tags):
+            letter, j = nodding_tag(copy, k)
+            assert nodding_copy(letter, j, k) == copy
+            [(comp, lists, label, nxt)] = builder.moves[copy]
+            assert (comp, label, nxt) == (j, EPSILON, nodding_copy(letter, j + 1, k) if j < k - 1 else 0)
+            assert lists is bundle.prepared.letters[j][letter]
 
 
 def test_nodding_size_bounds():
@@ -318,13 +328,13 @@ def test_nodding_volley_structure():
         dst_comps, dst_tag = space.decode(dst)
         if label != EPSILON:
             # a letter is consumed from the base copy; only component 0 moves
-            assert builder.tags[src_tag] == "base"
-            letter, volley = builder.tags[dst_tag]
+            assert src_tag == 0
+            letter, volley = nodding_tag(dst_tag, bundle.k)
             assert (letter, volley) == (label, 1)
             assert src_comps[1:] == dst_comps[1:]
             assert (src_comps[0], label, dst_comps[0]) in bundle.automata[0].transitions
         else:
-            letter, volley = builder.tags[src_tag]
+            letter, volley = nodding_tag(src_tag, bundle.k)
             assert 1 <= volley <= bundle.k - 1
             moved = volley
             for j in range(bundle.k):
@@ -332,9 +342,9 @@ def test_nodding_volley_structure():
                     assert src_comps[j] == dst_comps[j]
             assert (src_comps[moved], letter, dst_comps[moved]) in bundle.automata[moved].transitions
             if volley == bundle.k - 1:
-                assert builder.tags[dst_tag] == "base"
+                assert dst_tag == 0
             else:
-                assert builder.tags[dst_tag] == (letter, volley + 1)
+                assert nodding_tag(dst_tag, bundle.k) == (letter, volley + 1)
 
 
 def test_nodding_language_small():
@@ -448,8 +458,10 @@ def test_leapfrog_language():
 
 def test_materialized_counts_match_builder_totals():
     # the totals are read off each construction's copy/volley table, so they
-    # must match the materialized product; successor lists come out sorted
-    # whether or not the builder sorts them
+    # must match the materialized product.  No sort guards the successor
+    # order (label, then target id): it follows from the volleys' order in
+    # each copy, so every list is pinned strictly ascending, including those
+    # of catch-up's base copy, several volleys per letter from k = 3, l = 2
     for k, l in itertools.product((2, 3, 4), (1, 2, 3)):
         n = 3 if k * l <= 6 else 2
         bundle = random_bundle(k, n, l, 0.6, ("totals", k, l))
@@ -460,7 +472,10 @@ def test_materialized_counts_match_builder_totals():
             assert product.m == builder.total_transitions(), (k, l, construction)
             for sid in range(builder.total_states()):
                 successors = builder.successors(sid)
-                assert successors == sorted(successors), (k, l, construction, sid)
+                assert successors == sorted(set(successors)), (k, l, construction, sid)
+            if construction == "catchup" and k >= 3 and l >= 2:
+                labels = [label for _, _, label, _ in builder.moves[0]]
+                assert labels == sorted(labels) and len(labels) >= 3 * l
 
 
 @pytest.mark.parametrize("k", [4, 5])
