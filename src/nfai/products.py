@@ -12,7 +12,7 @@ accessible part:
 * ``catchup``  - epsilon-free; one petal per k-letter word, each volley
   advancing one component by the whole word, plus tails for remainders.
 * ``leapfrog`` - epsilon-free; components take turns jumping a whole k-letter
-  window ahead, so copies are tagged by the last k-1 letters only.
+  window ahead, so copies are set apart by the last k-1 letters only.
 
 The four sparse constructions are one idea wired four ways: numbered
 copies of the state-tuple space, set apart by the letters still owed,
@@ -20,9 +20,8 @@ joined by volleys that each advance one component through one word
 relation into the next copy.  Each is described as data - the volleys
 leaving each copy and the states a final tuple of each accepting copy
 needs - and ``ProductBuilder`` reads successors, finality and size totals
-off that table.  The nodding and echoing tables are filled on first lookup,
-so a walk builds only the copies it reaches, a witness run's included; only
-catch-up and leapfrog name their copies by tags.
+off that table.  Copies are numbered arithmetically and filled on first
+lookup, so a walk builds only the copies it reaches, a witness run's included.
 
 Every sparse construction is also explored word-parallel by one loop,
 ``close_table``: it holds each set of reached tuples as one bitmask over the
@@ -45,6 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
@@ -226,11 +226,29 @@ class WordRelations:
     r; it is kept for the letters that move and every relation first reached
     by a word shorter than k, the only ones a word of length <= k extends,
     and a missing entry stands for relation 0, the empty relation.
+    ``moving`` lists the letters that move, ascending, and ``lists[r]`` is
+    relation r as ``{q: successor tuple}``, built on first use, one dict per
+    relation; a letter's dict stands for its relation.
     """
 
     rows: tuple
     letters: tuple
     step: Dict[Tuple[int, int], int]
+    moving: tuple
+    lists: dict
+
+    def of(self, word: tuple) -> int:
+        """The id of the non-empty ``word``'s relation, through ``step``."""
+        r = self.letters[word[-1]]
+        for s in reversed(word[:-1]):
+            r = self.step.get((s, r), 0)
+        return r
+
+    def can_finish(self, finals: frozenset, word: tuple) -> frozenset:
+        """The states that reach ``finals`` reading ``word``: the rows of its
+        relation that meet the final mask."""
+        mask = sum(map((1).__lshift__, finals))
+        return frozenset(q for q, row in self.rows[self.of(word)].items() if row & mask) if word else finals
 
 
 def _word_relations(letters: tuple, max_len: int) -> WordRelations:
@@ -259,8 +277,10 @@ def _word_relations(letters: tuple, max_len: int) -> WordRelations:
     bit = (1).__lshift__  # bit(d) == 1 << d; distinct bits sum to their OR
     first = [intern({})] * len(letters)  # the empty relation is 0
     moving = [(s, moves) for s, moves in enumerate(letters) if moves]
+    lists = _Table(lambda r: {q: _bits(row) for q, row in rows_of[r].items()})
     for s, moves in moving:
         first[s] = intern({q: sum(map(bit, dsts)) for q, dsts in moves.items()})
+        lists[first[s]] = moves
     step = {}
     for _ in range(max_len - 1):
         layer, fresh = fresh, []
@@ -275,7 +295,26 @@ def _word_relations(letters: tuple, max_len: int) -> WordRelations:
                     if row:
                         out[q] = row
                 step[s, r] = intern(out)
-    return WordRelations(tuple(rows_of), tuple(first), step)
+    return WordRelations(tuple(rows_of), tuple(first), step, tuple(s for s, _ in moving), lists)
+
+
+def _fired(prepared: "PreparedBundle") -> list:
+    """``fired[i][t]``: the transitions of the volleys moving component i by
+    each word of length t, 1 <= t <= k, one per pair of the word's relation
+    and setting of the other components.  The words are counted per
+    relation over the step table, not listed."""
+    space, fired = prepared.space, []
+    for relations, n in zip(prepared.relations, space.sizes):
+        layers = [Counter(relations.letters[s] for s in relations.moving)]  # words per relation, by length
+        for _ in range(len(space.sizes) - 1):
+            longer = Counter()
+            for r, c in layers[-1].items():
+                for s in relations.moving:
+                    longer[relations.step.get((s, r), 0)] += c
+            layers.append(longer)
+        pairs = [sum(map(int.bit_count, rows.values())) for rows in relations.rows]
+        fired.append([0] + [space.base_size // n * sum(c * pairs[r] for r, c in words.items()) for words in layers])
+    return fired
 
 
 def m_leq_k(bundle: InstanceBundle) -> int:
@@ -290,10 +329,6 @@ def m_leq_k(bundle: InstanceBundle) -> int:
     return max(bundle.max_states, max(pairs, default=0))
 
 
-def _words(n_letters: int, length: int):
-    return itertools.product(range(n_letters), repeat=length)
-
-
 def _bits(row: int) -> tuple:
     """The positions of the set bits of ``row``, ascending."""
     out = []
@@ -305,15 +340,15 @@ def _bits(row: int) -> tuple:
 
 
 class _Table(dict):
-    """A copy table filled on first lookup, ``table[t] = fill(t)``; ``fill``
-    is a partial over plain data, so it forms no cycle with its owner."""
+    """A table filled on first lookup, ``table[key] = fill(key)``; ``fill``
+    reads only plain data, so it forms no cycle with its owner."""
 
     def __init__(self, fill):
         self.fill = fill
 
-    def __missing__(self, copy: int) -> list:
-        volleys = self[copy] = self.fill(copy)
-        return volleys
+    def __missing__(self, key: int):
+        entry = self[key] = self.fill(key)
+        return entry
 
 
 class PreparedBundle:
@@ -361,26 +396,6 @@ class PreparedBundle:
     def relations(self) -> tuple:
         """relations[i]: component i's :class:`WordRelations` up to length k."""
         return tuple(_word_relations(letters, len(self.automata)) for letters in self.letters)
-
-    @cached_property
-    def words(self) -> tuple:
-        """words[i][u]: ``{q: states reached from q reading u}`` in component
-        i, for 1 <= |u| <= k, filled in through the step table (a missing
-        entry is relation 0): the words of one relation share one dict, each
-        successor tuple ascending; a letter's dict stands for its relation."""
-        tables = []
-        for letters, relations in zip(self.letters, self.relations):
-            by_letter = dict(zip(relations.letters, letters))
-            lists = [by_letter[r] if r in by_letter else {q: _bits(row) for q, row in rows.items()}
-                     for r, rows in enumerate(relations.rows)]
-            step = relations.step
-            layer = [((s,), r) for s, r in enumerate(relations.letters)]
-            table = {u: lists[r] for u, r in layer}
-            for _ in range(len(self.automata) - 1):
-                layer = [((s,) + u, step.get((s, r), 0)) for s in range(len(relations.letters)) for u, r in layer]
-                table.update((u, lists[r]) for u, r in layer)
-            tables.append(table)
-        return tuple(tables)
 
 
 #: The closure's work guard, in 64-bit words of big-int work: a move costs
@@ -497,14 +512,11 @@ class ProductBuilder:
     ``label``, the component moves from state q to every state of
     ``lists[q]`` (a dict from the prepared bundle, holding only the states
     that move), the other components stay, and the tuple lands in the next
-    copy.  ``accept`` maps each copy holding final states to the states, per
-    component, that a final tuple of it needs.
-
-    Nodding and echoing fill ``moves`` on first lookup; only catch-up and
-    leapfrog name their copies by tags (``_WordBuilder``).  A copy's volleys
-    come in label order, ties by next copy, so successors come out by label,
-    then target id, unsorted.  Search, materialization and statistics all
-    read this one table.
+    copy.  ``accept[t]`` gives the states, per component, that a final tuple
+    of copy t needs, or None when it never accepts.  Both are filled on
+    first lookup.  A copy's volleys come in label order, ties by next copy,
+    so successors come out by label, then target id, unsorted.  Search,
+    materialization and statistics all read this one table.
     """
 
     construction: str = ""
@@ -518,7 +530,7 @@ class ProductBuilder:
         self.finals = tuple(a.finals for a in bundle.automata)
         self.space = ProductSpace(self.sizes, n_copies)
         self.initial = self.prepared.initial  # copy 0 starts the id space
-        self.accept = {0: self.finals}
+        self.accept = _Table({0: self.finals}.get)
 
     def successors(self, sid: int) -> list:
         space = self.space
@@ -537,7 +549,7 @@ class ProductBuilder:
     def is_final(self, sid: int) -> bool:
         space = self.space
         tag, rest = divmod(sid, space.base_size)
-        accept = self.accept.get(tag)
+        accept = self.accept[tag]
         if accept is None:
             return False
         for allowed, stride, n in zip(accept, space.strides, self.sizes):
@@ -551,16 +563,23 @@ class ProductBuilder:
 
 class _DirectBuilder(ProductBuilder):
     """One copy and no volleys: all components move at once, so the
-    successors and the transition count are its own."""
+    successors and the transition count are its own, over the letters that
+    component 0 (its state, for the successors) moves on."""
 
     construction = "direct"
+
+    def __init__(self, bundle: InstanceBundle):
+        super().__init__(bundle)
+        self.firsts: Dict[int, list] = {}  # per state of component 0, the letters it moves on
+        for q, s in bundle.automata[0].adjacency:
+            self.firsts.setdefault(q, []).append(s)
 
     def successors(self, sid: int) -> list:
         space = self.space
         comps = [space.component(sid, i) for i in range(self.k)]
         letters = self.prepared.letters
         out = []
-        for letter in range(self.n_letters):
+        for letter in self.firsts.get(comps[0], ()):
             lists = [letters[i][letter].get(comps[i], ()) for i in range(self.k)]
             for targets in itertools.product(*lists):
                 out.append((letter, space.encode(targets)))
@@ -570,7 +589,7 @@ class _DirectBuilder(ProductBuilder):
     def total_transitions(self) -> int:
         return sum(
             math.prod(sum(map(len, lists[letter].values())) for lists in self.prepared.letters)
-            for letter in range(self.n_letters)
+            for letter in self.prepared.relations[0].moving
         )
 
 
@@ -630,112 +649,115 @@ class _EchoingBuilder(_NoddingBuilder):
     epsilon = False
 
 
-class _WordBuilder(ProductBuilder):
-    """Copies named by tags over words, built whole since there are l^k by
-    construction: ``tags`` lists them, copy 0 first, and ``tag_index`` maps
-    a tag to its copy number.  Subclasses describe each copy through
-    ``_tags``, ``_volleys`` and ``_accept`` (None: the copy never accepts)."""
-
-    def __init__(self, bundle: InstanceBundle):
-        self.tags = self._tags(bundle.k, bundle.n_letters)
-        super().__init__(bundle, len(self.tags))
-        self.tag_index = {tag: i for i, tag in enumerate(self.tags)}
-        self.moves = [
-            [(comp, lists, label, self.tag_index[nxt]) for comp, lists, label, nxt in self._volleys(tag)]
-            for tag in self.tags
-        ]
-        self.accept = {t: allowed for t, allowed in enumerate(map(self._accept, self.tags)) if allowed is not None}
-
-    def _can_finish(self, i: int, u: tuple) -> frozenset:
-        """The states of component i that reach a final state reading u."""
-        finals = self.finals[i]
-        if not u:
-            return finals
-        return frozenset(q for q, dsts in self.prepared.words[i][u].items() if not finals.isdisjoint(dsts))
-
-    def total_transitions(self) -> int:
-        # a volley moving component i through lists fires once per pair in
-        # lists for each of the base_size / n_i settings of the others
-        base = self.space.base_size
-        return sum(
-            sum(map(len, lists.values())) * (base // self.sizes[comp])
-            for moves in self.moves
-            for comp, lists, _, _ in moves
-        )
+def word_copy(blocks: list, l: int, block: int, word: tuple, j: int = 0) -> int:
+    """Position of copy j of ``word`` in ``block`` of a copy layout: each of
+    the ``blocks`` (t, c) holds c copies per word of length t, by word in
+    lexicographic order, then j.  Computed, so no copy is listed."""
+    index = sum(s * l ** p for p, s in enumerate(reversed(word)))
+    return sum(c * l ** t for t, c in blocks[:block]) + index * blocks[block][1] + j
 
 
-class _CatchupBuilder(_WordBuilder):
-    """From the base copy, one petal per k-letter word u: copy ``("petal",
-    u, j)`` moves component j by the whole word u, reading ``u[j]``, and the
-    last volley returns to the base.  Per shorter word v a tail does the
-    same without returning; its last copy ``("tail", v, |v|)`` accepts when
-    the components moved are final and the others can finish reading v."""
+def word_tag(blocks: list, l: int, copy: int) -> tuple:
+    """``(block, word, j)`` of copy ``copy``; the inverse of :func:`word_copy`."""
+    for block, (t, c) in enumerate(blocks):
+        if copy < c * l ** t:
+            index, j = divmod(copy, c)
+            return block, tuple(index // l ** p % l for p in reversed(range(t))), j
+        copy -= c * l ** t
+
+
+def catchup_volleys(blocks: list, relations: tuple, l: int, copy: int) -> list:
+    """The volleys leaving catch-up copy ``copy`` whose word relation is not
+    empty; from the base by label, then next copy."""
+    k = len(relations)
+    block, u, j = word_tag(blocks, l, copy)
+    if block:
+        c = j + 1  # the component that moves next
+        r = relations[c].of(u) if c < len(u) else 0
+        return [(c, relations[c].lists[r], u[c], 0 if block == 1 and c == k - 1 else copy + 1)] if r else []
+    first, volleys = relations[0], []
+    words = [((s,), first.letters[s]) for s in first.moving]  # (w, w's relation)
+    for t in range(1, k + 1):
+        volleys += [(0, first.lists[r], w[0], word_copy(blocks, l, 1 if t == k else 1 + t, w)) for w, r in words]
+        words = [((s,) + w, nxt) for s in first.moving for w, r in words if (nxt := first.step[s, r])] if t < k else []
+    return sorted(volleys, key=lambda volley: volley[2:])
+
+
+def catchup_accept(blocks: list, relations: tuple, finals: tuple, l: int, copy: int) -> Optional[tuple]:
+    """What a final tuple of catch-up copy ``copy`` needs per component, or
+    None: the base's and the last tail copy's accept."""
+    block, v, j = word_tag(blocks, l, copy)
+    if block == 1 or j + 1 < len(v):  # a petal, or a tail before its last copy
+        return None
+    return tuple(relations[i].can_finish(finals[i], v if i > j else ()) for i in range(len(finals)))
+
+
+class _CatchupBuilder(ProductBuilder):
+    """From the base copy, one petal per k-letter word u: its copy j moves
+    component j by the whole word u, reading ``u[j]``, and the last volley
+    returns to the base.  Per shorter word v a tail does the same without
+    returning; its last copy j = |v| accepts when the components moved are
+    final and the others can finish reading v."""
 
     construction = "catchup"
 
-    def _tags(self, k: int, l: int) -> list:
-        tags = [("base",)]
-        tags += [("petal", u, j) for u in _words(l, k) for j in range(1, k)]
-        tags += [("tail", v, j) for t in range(1, k) for v in _words(l, t) for j in range(1, t + 1)]
-        return tags
+    def __init__(self, bundle: InstanceBundle):
+        k, l = bundle.k, bundle.n_letters
+        self.blocks = [(0, 1), (k, k - 1)] + [(t, t) for t in range(1, k)]  # base, petals, tails by length
+        super().__init__(bundle, sum(c * l ** t for t, c in self.blocks))
+        self.moves = _Table(partial(catchup_volleys, self.blocks, self.prepared.relations, l))
+        self.accept = _Table(partial(catchup_accept, self.blocks, self.prepared.relations, self.finals, l))
 
-    def _volleys(self, tag) -> list:
-        k, l, words = self.k, self.n_letters, self.prepared.words
-        if tag[0] == "base":
-            # the only copy whose labels repeat: a stable sort keeps ``tags`` order
-            firsts = [("petal", u, 1) for u in _words(l, k)]
-            firsts += [("tail", v, 1) for t in range(1, k) for v in _words(l, t)]
-            return sorted(((0, words[0][nxt[1]], nxt[1][0], nxt) for nxt in firsts), key=lambda volley: volley[2])
-        kind, u, j = tag
-        if j == len(u):  # the last tail copy
-            return []
-        nxt = ("base",) if kind == "petal" and j == k - 1 else (kind, u, j + 1)
-        return [(j, words[j][u], u[j], nxt)]
-
-    def _accept(self, tag):
-        if tag[0] == "base":
-            return self.finals
-        kind, v, j = tag
-        if kind == "petal" or j < len(v):
-            return None
-        return tuple(self.finals[i] if i < j else self._can_finish(i, v) for i in range(self.k))
+    def total_transitions(self) -> int:
+        # the base moves component 0 by the words of length <= k, petal copy
+        # j component j by those of length k, tail copy j < t by those of t
+        k, fired = self.k, _fired(self.prepared)
+        return sum(fired[0]) + sum(fired[j][t] for t in range(2, k + 1) for j in range(1, t))
 
 
-class _LeapfrogBuilder(_WordBuilder):
+def leapfrog_volleys(blocks: list, relations: tuple, l: int, copy: int) -> list:
+    """The volleys leaving leapfrog copy ``copy``, one per letter a whose
+    word u.a has a relation that is not empty."""
+    k = len(relations)
+    block, u, _ = word_tag(blocks, l, copy)
+    comp = block if block < k - 1 else block - k + 1
+    nxt = len(u) + 1 if len(u) + 1 < k - 1 else k - 1 + (comp + 1) % k
+    start = word_copy(blocks, l, nxt, (u + (0,))[1 - k:])  # the next copy after letter 0; after a, a later
+    relation = relations[comp]
+    return [(comp, relation.lists[r], a, start + a) for a in relation.moving if (r := relation.of(u + (a,)))]
+
+
+def leapfrog_accept(blocks: list, relations: tuple, finals: tuple, l: int, copy: int) -> tuple:
+    """Per component j, the states of leapfrog copy ``copy`` that can finish
+    reading the letters j still owes."""
+    k = len(relations)
+    block, u, _ = word_tag(blocks, l, copy)
+    owed = ([u[j + 1:] if j < len(u) else u for j in range(k)] if block < k - 1
+            else [u[len(u) - (block - k - j) % k:] for j in range(k)])
+    return tuple(relations[j].can_finish(finals[j], owed[j]) for j in range(k))
+
+
+class _LeapfrogBuilder(ProductBuilder):
     """Components take turns jumping a whole k-letter window ahead.  An
     initialization tree over words u of length <= k-2, in which component
-    |u| moves next, leads to the main copies ``("main", i, u)``: component
-    i moves next, and u holds the last k-1 letters read.  A copy accepts
-    when every component can finish reading the letters it still owes."""
+    |u| moves next, leads to the main copies of (i, u): component i moves
+    next, and u holds the last k-1 letters read.  A copy accepts when every
+    component can finish reading the letters it still owes."""
 
     construction = "leapfrog"
 
-    def _tags(self, k: int, l: int) -> list:
-        tags = [("tree", u) for t in range(k - 1) for u in _words(l, t)]
-        return tags + [("main", i, u) for i in range(k) for u in _words(l, k - 1)]
+    def __init__(self, bundle: InstanceBundle):
+        k, l = bundle.k, bundle.n_letters
+        self.blocks = [(t, 1) for t in range(k - 1)] + [(k - 1, 1)] * k  # tree by |u|, main by i
+        super().__init__(bundle, sum(c * l ** t for t, c in self.blocks))
+        self.moves = _Table(partial(leapfrog_volleys, self.blocks, self.prepared.relations, l))
+        self.accept = _Table(partial(leapfrog_accept, self.blocks, self.prepared.relations, self.finals, l))
 
-    def _volleys(self, tag) -> list:
-        k, words = self.k, self.prepared.words
-        out = []
-        for letter in range(self.n_letters):
-            if tag[0] == "tree":
-                u = tag[1]
-                comp, word = len(u), u + (letter,)
-                nxt = ("tree", word) if comp < k - 2 else ("main", k - 1, word)
-            else:
-                _, comp, u = tag
-                word = u + (letter,)
-                nxt = ("main", (comp + 1) % k, word[1:])
-            out.append((comp, words[comp][word], letter, nxt))
-        return out
-
-    def _accept(self, tag):
-        k, can_finish = self.k, self._can_finish
-        if tag[0] == "tree":
-            u = tag[1]
-            return tuple(can_finish(j, u[j + 1:] if j < len(u) else u) for j in range(k))
-        _, i, u = tag
-        return tuple(can_finish(j, u[len(u) - (i - 1 - j) % k:]) for j in range(k))
+    def total_transitions(self) -> int:
+        # tree copy u moves component |u| by the words of length |u| + 1,
+        # main copy (i, u) component i by those of length k
+        k, fired = self.k, _fired(self.prepared)
+        return sum(fired[t][t + 1] for t in range(k - 1)) + sum(fired[i][k] for i in range(k))
 
 
 _BUILDERS = {
@@ -901,6 +923,6 @@ def accessible_stats(
         nonempty = any(builder.is_final(sid) for sid, _ in visits)
     else:
         states, transitions = closure.states, closure.transitions
-        nonempty = any(mask & builder.prepared.space.product_mask(builder.accept[t])
-                       for t, mask in closure.seen.items() if t in builder.accept)
+        nonempty = any(mask & builder.prepared.space.product_mask(accept)
+                       for t, mask in closure.seen.items() if (accept := builder.accept[t]) is not None)
     return _stats(builder, bundle, states, transitions), nonempty

@@ -80,6 +80,83 @@ def reach_map(a: Nfa, max_len: int) -> dict:
     return table
 
 
+def _words(n_letters: int, length: int):
+    return itertools.product(range(n_letters), repeat=length)
+
+
+def catchup_tags(k: int, l: int) -> list:
+    """Every catch-up copy tag in copy order: the base, the petal copies
+    ``("petal", u, j)`` by word u of length k, then the tail copies
+    ``("tail", v, j)`` by length of v, then word.  The reference for the
+    catch-up builder's numbering by ``products.word_copy``."""
+    tags = [("base",)]
+    tags += [("petal", u, j) for u in _words(l, k) for j in range(1, k)]
+    tags += [("tail", v, j) for t in range(1, k) for v in _words(l, t) for j in range(1, t + 1)]
+    return tags
+
+
+def leapfrog_tags(k: int, l: int) -> list:
+    """Every leapfrog copy tag in copy order: the tree copies ``("tree",
+    u)`` by length of u, then word, then the main copies ``("main", i,
+    u)``.  The reference for the leapfrog builder's numbering by
+    ``products.word_copy``."""
+    tags = [("tree", u) for t in range(k - 1) for u in _words(l, t)]
+    return tags + [("main", i, u) for i in range(k) for u in _words(l, k - 1)]
+
+
+def catchup_block(tag, k: int) -> tuple:
+    """The catch-up copy ``tag`` as ``(block, word, j)`` of the builder's
+    copy layout: the base, the petals, then the tails by length."""
+    if tag[0] == "base":
+        return 0, (), 0
+    kind, u, j = tag
+    return (1 if kind == "petal" else 1 + len(u)), u, j - 1
+
+
+def leapfrog_block(tag, k: int) -> tuple:
+    """The leapfrog copy ``tag`` as ``(block, word, j)`` of the builder's
+    copy layout: the tree by length, then the main copies by component."""
+    return (len(tag[1]) if tag[0] == "tree" else k - 1 + tag[1]), tag[-1], 0
+
+
+def catchup_reference(tag, k: int, l: int):
+    """The catch-up copy ``tag`` by tags and words: its volleys as
+    ``(component, word, label, next tag)``, every word's included, and per
+    component the word a final tuple still owes (the empty word: be final),
+    or None when the copy never accepts."""
+    if tag[0] == "base":
+        firsts = [("petal", u, 1) for u in _words(l, k)]
+        firsts += [("tail", v, 1) for t in range(1, k) for v in _words(l, t)]
+        volleys = sorted(((0, nxt[1], nxt[1][0], nxt) for nxt in firsts), key=lambda volley: volley[2])
+        return volleys, ((),) * k
+    kind, u, j = tag
+    if j == len(u):  # the last tail copy
+        return [], tuple(() if i < j else u for i in range(k))
+    nxt = ("base",) if kind == "petal" and j == k - 1 else (kind, u, j + 1)
+    return [(j, u, u[j], nxt)], None
+
+
+def leapfrog_reference(tag, k: int, l: int):
+    """The leapfrog copy ``tag`` as :func:`catchup_reference` gives a
+    catch-up copy."""
+    volleys = []
+    for letter in range(l):
+        if tag[0] == "tree":
+            u = tag[1]
+            comp, word = len(u), u + (letter,)
+            nxt = ("tree", word) if comp < k - 2 else ("main", k - 1, word)
+        else:
+            _, comp, u = tag
+            word = u + (letter,)
+            nxt = ("main", (comp + 1) % k, word[1:])
+        volleys.append((comp, word, letter, nxt))
+    if tag[0] == "tree":
+        u = tag[1]
+        return volleys, tuple(u[j + 1:] if j < len(u) else u for j in range(k))
+    _, i, u = tag
+    return volleys, tuple(u[len(u) - (i - 1 - j) % k:] for j in range(k))
+
+
 @st.composite
 def bundles(draw, max_k: int = 4):
     """Hypothesis bundles: k from 2 to ``max_k`` components of 1-5 states

@@ -24,7 +24,7 @@ from nfai.automata import InstanceBundle, Nfa
 from nfai.certificates import _cut_by_walk, extract_short_pathset, extract_staggered_cut, verify_short_pathset
 from nfai.decision import _search, decide_empty
 from nfai.hardness import clique_bundle, random_graph
-from nfai.products import BudgetExceeded, accessible_stats, builder_for
+from nfai.products import CONSTRUCTIONS, BudgetExceeded, accessible_stats, builder_for
 
 from helpers import acceptance_corpus, bundles, chains
 
@@ -304,11 +304,27 @@ def test_huge_alphabet_hand_back_costs_its_moving_letters(tmp_path):
     assert (done.returncode, done.stdout) == (0, "VALID pathset\n"), done.stderr
 
 
-@pytest.mark.parametrize("construction", ["nodding", "echoing"])
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
 def test_huge_alphabet_product_costs_its_moving_letters(tmp_path, construction):
-    """The accessible part walks three states; its totals and m_leq_k are
-    computed from the moving letters, not from 2,000,000 copies."""
+    """The accessible part walks two or three states; its totals and
+    m_leq_k are computed from the moving letters, not from 2,000,000
+    letters or the copies numbered by their words."""
     (tmp_path / "huge.nfa").write_text(HUGE_ALPHABET_BUNDLE + "final 1\ntrans 0 0 1\n")
     done = _capped_cli(tmp_path, "product", "--construction", construction, "huge.nfa", "-o", "huge.out")
     assert done.returncode == 0, done.stderr
-    assert done.stderr.endswith(f"\n{construction},2,2000000,2,1,3,2,2\n")
+    states, transitions = (3, 2) if construction in ("nodding", "echoing") else (2, 1)
+    assert done.stderr.endswith(f"\n{construction},2,2000000,2,1,{states},{transitions},2\n")
+
+
+def test_wide_alphabet_full_direct_product_costs_its_moving_letters(tmp_path):
+    """Three 64-state components over 64 letters, one transition each:
+    ``--full`` lists all 262,144 direct states, and each state's successors
+    loop over the letters its component 0 moves on, not over all 64."""
+    block = "nfa\nstates 64\nalphabet 64\ninitial 0\nfinal 1\ntrans 0 0 1\n"
+    (tmp_path / "wide.nfa").write_text("---\n".join([block] * 3))
+    done = _capped_cli(tmp_path, "product", "--full", "--construction", "direct", "wide.nfa", "-o", "wide.out",
+                       budget=64 ** 3)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.endswith("\ndirect,3,64,64,1,2,1,64\n")
+    assert (tmp_path / "wide.out").read_text() == (
+        "nfa\nstates 262144\nalphabet 64\ninitial 0\nfinal 4161\ntrans 0 0 4161\n")

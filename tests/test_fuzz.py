@@ -5,9 +5,7 @@ Valid texts are mutated - tokens swapped, lines dropped, lines inserted,
 numbers redeclared as counts up to 64 - and each parser must either parse
 the result or raise ``FormatError``; ``cli.main`` must answer 0, 1 or 2
 without raising on ``decide``, ``certify``, ``verify``, ``product`` and
-``gen``.  ``product`` runs on two-block bundles only: the catch-up and
-leapfrog tables grow as l^k, so a 64-letter three-block bundle takes
-seconds per construction.
+``gen``.
 """
 
 import io
@@ -136,9 +134,6 @@ def _run(files: dict, *argv) -> int:
             return main([str(arg) for arg in args])
 
 
-TWO_BLOCKS = [serialize_bundle(b) for b in _BUNDLES if b.k == 2]
-
-
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(mutated(BUNDLE_TEXTS, BUNDLE_LINES), st.sampled_from(("decide", "certify")))
 def test_cli_decides_and_certifies_mutated_bundles(text, command):
@@ -159,7 +154,7 @@ def test_cli_verifies_mutated_certificates(data):
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(mutated(TWO_BLOCKS, BUNDLE_LINES), st.sampled_from(CONSTRUCTIONS), st.booleans())
+@given(mutated(BUNDLE_TEXTS, BUNDLE_LINES), st.sampled_from(CONSTRUCTIONS), st.booleans())
 def test_cli_builds_products_of_mutated_bundles(text, construction, full):
     argv = ["product", "--construction", construction, "b.nfa", "-o", "out"] + ["--full"] * full
     assert _run({"b.nfa": text}, *argv) in (0, 1, 2)

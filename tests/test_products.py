@@ -22,9 +22,14 @@ from nfai.products import (
     nodding_tag,
     reachable,
     stats_csv_row,
+    word_copy,
+    word_tag,
 )
 
-from helpers import acceptance_corpus, all_words, bundles, reach_map
+from helpers import (
+    acceptance_corpus, all_words, bundles, catchup_block, catchup_reference, catchup_tags, leapfrog_block,
+    leapfrog_reference, leapfrog_tags, reach_map,
+)
 
 
 def small_bundles(count, k=2, n=3, l=2):
@@ -184,19 +189,20 @@ def _bit_positions(row):
 
 @given(bundles())
 def test_word_relations_match_reach_map(bundle):
-    """Differential check of the distinct-relation closure: each word's
-    prepared successor lists equal its reference reach rows, words of equal
-    relations share one dict, and m_leq_k equals a subset-simulation brute
-    force over every word of length <= k."""
+    """Differential check of the distinct-relation closure: the successor
+    lists of each word's relation, found through the step table, equal its
+    reference reach rows, words of equal relations share one dict, and
+    m_leq_k equals a subset-simulation brute force over every word of
+    length <= k."""
     k, prepared = bundle.k, bundle.prepared
     best = bundle.max_states
-    for a, words in zip(bundle.automata, prepared.words):
-        reference = reach_map(a, k)
-        assert words.keys() == reference.keys()
+    for a, relations in zip(bundle.automata, prepared.relations):
+        reference, lists = reach_map(a, k), relations.lists
         shared = {}
         for u, rows in reference.items():
-            assert words[u] == {q: _bit_positions(row) for q, row in rows.items()}
-            assert shared.setdefault(tuple(sorted(rows.items())), words[u]) is words[u]
+            word_lists = lists[relations.of(u)]
+            assert word_lists == {q: _bit_positions(row) for q, row in rows.items()}
+            assert shared.setdefault(tuple(sorted(rows.items())), word_lists) is word_lists
             pairs = 0
             for p in range(a.n_states):
                 current = {p}
@@ -204,15 +210,17 @@ def test_word_relations_match_reach_map(bundle):
                     current = {d for q in current for d in a.successors(q, letter)}
                 pairs += len(current)
             best = max(best, pairs)
-        # the table holds one dict per distinct relation
-        assert len({id(lists) for lists in words.values()}) == len(shared)
+        # the words of one relation share its dict, and each relation has one
+        assert len({id(lists[relations.of(u)]) for u in reference}) == len(shared)
+        assert len({id(lists[r]) for r in range(len(relations.rows))}) == len(relations.rows)
     assert m_leq_k(bundle) == best
 
 
 def test_m_leq_k_holds_one_table_at_a_time(monkeypatch):
     # m_leq_k builds each component's distinct relations once, from the
-    # prepared letter lists, and no table per word; the relations of the
-    # 30-letter bundle repeat, so they number far fewer than its words
+    # prepared letter lists, and no table per word nor successor lists past
+    # the letters' own; the relations of the 30-letter bundle repeat, so
+    # they number far fewer than its words
     import nfai.products as products
 
     relations, calls = products._word_relations, []
@@ -221,7 +229,7 @@ def test_m_leq_k_holds_one_table_at_a_time(monkeypatch):
     bundle = random_bundle(3, 3, 30, 0.1, "once")
     stats, _ = accessible_stats("nodding", bundle)
     assert list(map(id, calls)) == list(map(id, bundle.prepared.letters))
-    assert "words" not in vars(bundle.prepared)
+    assert all(len(r.lists) == len({r.letters[s] for s in r.moving}) for r in bundle.prepared.relations)
     assert stats.m_leq_k == m_leq_k(bundle) and len(calls) == bundle.k
     n_words = sum(30 ** length for length in range(1, 4))
     assert all(len(r.rows) < n_words // 100 for r in bundle.prepared.relations)
@@ -230,7 +238,7 @@ def test_m_leq_k_holds_one_table_at_a_time(monkeypatch):
 @pytest.mark.parametrize("construction", CONSTRUCTIONS)
 def test_reach_rows_built_once_per_stats_call(construction, monkeypatch):
     # one accessible_stats call closes each component's word relations
-    # once: catch-up and leapfrog fill their word lists from them, which
+    # once: catch-up and leapfrog fill their copies from them, which
     # m_leq_k then shares; the others build them in m_leq_k alone
     import nfai.products as products
 
@@ -396,7 +404,7 @@ def test_catchup_two_step_transition_family():
     builder = builder_for("catchup", bundle)
     space = builder.space
     product = materialize("catchup", bundle)
-    petal_ab = builder.tag_index[("petal", (0, 1), 1)]
+    petal_ab = catchup_tags(2, 2).index(("petal", (0, 1), 1))
     expected = set()
     for q in range(a1.n_states):
         src = space.encode((0, q), 0)
@@ -432,8 +440,8 @@ def test_leapfrog_two_step_transition_family():
     builder = builder_for("leapfrog", bundle)
     space = builder.space
     product = materialize("leapfrog", bundle)
-    src_tag = builder.tag_index[("main", 0, (0,))]
-    dst_tag = builder.tag_index[("main", 1, (1,))]
+    src_tag = leapfrog_tags(2, 2).index(("main", 0, (0,)))
+    dst_tag = leapfrog_tags(2, 2).index(("main", 1, (1,)))
     expected = set()
     for q in range(a1.n_states):
         src = space.encode((0, q), src_tag)
@@ -452,6 +460,72 @@ def test_leapfrog_language():
         for bundle in small_bundles(2, k=k):
             product = materialize("leapfrog", bundle)
             assert difference_witness(DetAcceptor(product), BundleAcceptor(bundle), bundle.n_letters, 8) is None
+
+
+# --- catch-up and leapfrog copy tables ------------------------------------------
+
+WORD_COPIES = {
+    "catchup": (catchup_tags, catchup_block, catchup_reference),
+    "leapfrog": (leapfrog_tags, leapfrog_block, leapfrog_reference),
+}
+
+
+def test_word_copies_numbered_in_tag_order():
+    # the copies are numbered arithmetically in the order of the tag lists
+    # they replace, which fixes the state ids of --full output
+    for k, l in itertools.product((2, 3, 4), (1, 2, 3)):
+        bundle = random_bundle(k, 2, l, 0.5, ("numbered", k, l))
+        for construction, (tags_of, block_of, _) in WORD_COPIES.items():
+            tags, builder = tags_of(k, l), builder_for(construction, bundle)
+            assert builder.space.n_tags == len(tags), (k, l, construction)
+            for position, tag in enumerate(tags):
+                block, word, j = block_of(tag, k)
+                assert word_copy(builder.blocks, l, block, word, j) == position
+                assert word_tag(builder.blocks, l, position) == (block, word, j)
+
+
+@given(bundles(), st.sampled_from(sorted(WORD_COPIES)))
+def test_word_copies_match_tag_reference(bundle, construction):
+    """Differential check against the tag-listing design: each numbered
+    copy's volleys and acceptance, filled from the word relations, equal
+    the reference's read off reach_map, with the volleys whose word leads
+    nowhere left out and the rest in the same order."""
+    k, l = bundle.k, bundle.n_letters
+    tags_of, _, reference = WORD_COPIES[construction]
+    tags = tags_of(k, l)
+    position = {tag: p for p, tag in enumerate(tags)}
+    maps = [reach_map(a, k) for a in bundle.automata]
+
+    def can_finish(i, word):
+        finals = bundle.automata[i].finals
+        if not word:
+            return finals
+        mask = sum(1 << f for f in finals)
+        return frozenset(q for q, row in maps[i][word].items() if row & mask)
+
+    builder = builder_for(construction, bundle)
+    for p, tag in enumerate(tags):
+        volleys, owed = reference(tag, k, l)
+        assert builder.moves[p] == [
+            (comp, {q: _bit_positions(row) for q, row in maps[comp][word].items()}, label, position[nxt])
+            for comp, word, label, nxt in volleys if maps[comp][word]
+        ]
+        assert builder.accept[p] == (None if owed is None else tuple(map(can_finish, range(k), owed)))
+
+
+@pytest.mark.parametrize("construction", sorted(WORD_COPIES))
+def test_word_copies_filled_on_first_lookup(construction):
+    # as nodding's, the copies are filled on first lookup, so a walk fills
+    # exactly the copies it reaches, and no acceptance
+    unreached = 0
+    for k, l in ((2, 3), (3, 2), (3, 3)):
+        bundle = random_bundle(k, 2, l, 0.5, ("copies", k, l))
+        builder = builder_for(construction, bundle)
+        assert not builder.moves and not builder.accept
+        reached = {sid // builder.space.base_size for sid, _ in reachable(builder)}
+        assert set(builder.moves) == reached and not builder.accept
+        unreached += builder.space.n_tags - len(reached)
+    assert unreached
 
 
 # --- materialization consistency -------------------------------------------------
