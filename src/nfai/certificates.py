@@ -34,6 +34,8 @@ booleans, so tests can assert exactly which condition a mutation violates.
 
 from __future__ import annotations
 
+import binascii
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
@@ -352,6 +354,12 @@ def verify_staggered_cut_naive(bundle: InstanceBundle, cut: StaggeredCut) -> Ver
 
 # --- certificate files ------------------------------------------------------
 
+#: The head of a ``set`` line in the form ``serialize_certificate`` writes,
+#: up to its hex field.  A line that does not match, or whose field does not
+#: decode, is read field by field like every other line.
+_SET_HEAD = re.compile(r"set ([0-9]+) ([0-9]+) ")
+
+
 def _hex_mask(text: str) -> int:
     return int.from_bytes(bytes.fromhex(text), "little")
 
@@ -384,10 +392,52 @@ def serialize_certificate(cert: Union[ShortPathset, StaggeredCut]) -> str:
                 lines.append(f"set {i} {letter} {_mask_hex(cert.set_for(i, letter), n_bits)}")
     else:
         raise TypeError(f"not a certificate: {type(cert).__name__}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a third copy of the text
+    return "\n".join(lines)
+
+
+def _certificate_lines(text: str):
+    """The non-empty lines of a certificate file, comments and surrounding
+    whitespace stripped, as ``(line number, line, mask)``; lines are
+    numbered as ``str.splitlines`` numbers them.
+
+    The text is walked once, newline by newline.  A ``set`` line that
+    matches ``_SET_HEAD`` and whose field is all hex digits comes as its
+    head ``set i letter``, with the field decoded by ``binascii.a2b_hex``
+    from one slice of the text as ``mask``: such a line holds no comment,
+    no other line break and no whitespace after the head.  Every other
+    piece is split by ``str.splitlines`` with its newline, which numbers
+    its lines as a split of the whole text would, and comes line by line
+    with mask None.
+    """
+    no, start, n = 0, 0, len(text)
+    while start < n:
+        end = text.find("\n", start)
+        if end < 0:
+            end = n
+        head = _SET_HEAD.match(text, start, end)
+        if head and head.end() < end:
+            try:
+                field = binascii.a2b_hex(text[head.end():end])
+            except ValueError:  # not all hex digits: read field by field below
+                pass
+            else:
+                no += 1
+                yield no, head[0].rstrip(), int.from_bytes(field, "little")
+                start = end + 1
+                continue
+        for raw in text[start:end + 1].splitlines():
+            no += 1
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield no, line, None
+        start = end + 1
 
 
 def parse_certificate(text: str) -> Union[ShortPathset, StaggeredCut]:
+    """Read a certificate file in one pass.  Malformed, repeated or
+    out-of-range lines raise ``FormatError`` with their line number; the
+    checks that need the whole file report its last non-empty line."""
     from .fileformat import FormatError
 
     def fields(no: int, parts: List[str], usage: str, count: Optional[int] = None, last=int) -> list:
@@ -401,27 +451,29 @@ def parse_certificate(text: str) -> Union[ShortPathset, StaggeredCut]:
                 pass
         raise FormatError(f"{parts[0]!r} takes {usage}", no)
 
-    lines = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((no, stripped))
-    if not lines or lines[0][1] != CERT_MAGIC:
+    def once(old, no: int, parts: List[str], new):
+        """``new``, unless an earlier ``parts[0]`` line already gave ``old``."""
+        if old is not None:
+            raise FormatError(f"duplicate {parts[0]!r} line", no)
+        return new
+
+    lines = _certificate_lines(text)
+    if next(lines, (1, None, None))[1] != CERT_MAGIC:
         raise FormatError(f"expected magic line {CERT_MAGIC!r}", 1)
-    if len(lines) < 2 or lines[1][1] not in ("pathset", "cut"):
-        raise FormatError("expected certificate kind 'pathset' or 'cut'", lines[1][0] if len(lines) > 1 else 1)
-    kind = lines[1][1]
-    body = lines[2:]
+    no, kind, _ = next(lines, (1, None, None))
+    if kind not in ("pathset", "cut"):
+        raise FormatError("expected certificate kind 'pathset' or 'cut'", no)
+    no = 1  # after the loop, the last body line, where whole-file checks report
     if kind == "pathset":
         k = None
         word = None
         runs: List[List[tuple]] = []
-        for no, line in body:
+        for no, line, _ in lines:
             parts = line.split()
             if parts[0] == "k":
-                (k,) = fields(no, parts, "one count", 1)
+                k = once(k, no, parts, fields(no, parts, "one count", 1)[0])
             elif parts[0] == "word":
-                word = tuple(fields(no, parts, "letters"))
+                word = once(word, no, parts, tuple(fields(no, parts, "letters")))
             elif parts[0] == "run":
                 if fields(no, parts, "one run index", 1)[0] != len(runs):
                     raise FormatError("runs must appear in order", no)
@@ -433,35 +485,43 @@ def parse_certificate(text: str) -> Union[ShortPathset, StaggeredCut]:
             else:
                 raise FormatError(f"unknown directive {parts[0]!r}", no)
         if k is None or word is None:
-            raise FormatError("pathset needs 'k' and 'word' lines", body[-1][0] if body else 1)
+            raise FormatError("pathset needs 'k' and 'word' lines", no)
         if len(runs) != k:
-            raise FormatError(f"declared k={k} but found {len(runs)} runs", body[-1][0])
+            raise FormatError(f"declared k={k} but found {len(runs)} runs", no)
         return ShortPathset(word, tuple(tuple(r) for r in runs))
     k = None
     alphabet = None
     sizes = None
-    sets = {}
-    for no, line in body:
+    sets = {}  # (i, letter) -> (line number, mask)
+    for no, line, mask in lines:
         parts = line.split()
         if parts[0] == "k":
-            (k,) = fields(no, parts, "one count", 1)
+            k = once(k, no, parts, fields(no, parts, "one count", 1)[0])
         elif parts[0] == "alphabet":
-            (alphabet,) = fields(no, parts, "one count", 1)
+            alphabet = once(alphabet, no, parts, fields(no, parts, "one count", 1)[0])
         elif parts[0] == "states":
-            sizes = tuple(fields(no, parts, "component sizes"))
+            sizes = once(sizes, no, parts, tuple(fields(no, parts, "component sizes")))
         elif parts[0] == "set":
-            i, letter, mask = fields(no, parts, "component letter hex", 3, _hex_mask)
-            sets[(i, letter)] = mask
+            if mask is None:
+                i, letter, mask = fields(no, parts, "component letter hex", 3, _hex_mask)
+            else:
+                i, letter = int(parts[1]), int(parts[2])
+            if (i, letter) in sets:
+                raise FormatError(f"duplicate 'set {i} {letter}' line", no)
+            sets[(i, letter)] = (no, mask)
         else:
             raise FormatError(f"unknown directive {parts[0]!r}", no)
     if k is None or alphabet is None or sizes is None:
-        raise FormatError("cut needs 'k', 'alphabet' and 'states' lines", body[-1][0] if body else 1)
+        raise FormatError("cut needs 'k', 'alphabet' and 'states' lines", no)
     if len(sizes) != k:
-        raise FormatError(f"declared k={k} but 'states' lists {len(sizes)} sizes", body[-1][0])
+        raise FormatError(f"declared k={k} but 'states' lists {len(sizes)} sizes", no)
+    for (i, letter), (at, _) in sets.items():
+        if not (0 <= i < k and 0 <= letter < alphabet):
+            raise FormatError(f"'set {i} {letter}' is outside k={k} and alphabet={alphabet}", at)
     ordered = []
     for i in range(k):
         for letter in range(alphabet):
             if (i, letter) not in sets:
-                raise FormatError(f"missing 'set {i} {letter}' line", body[-1][0])
-            ordered.append(sets[(i, letter)])
+                raise FormatError(f"missing 'set {i} {letter}' line", no)
+            ordered.append(sets[(i, letter)][1])
     return StaggeredCut(alphabet, sizes, tuple(ordered))

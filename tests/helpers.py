@@ -7,6 +7,8 @@ import itertools
 from hypothesis import strategies as st
 
 from nfai.automata import InstanceBundle, Nfa, accepts
+from nfai.certificates import CERT_MAGIC, ShortPathset, StaggeredCut
+from nfai.fileformat import FormatError
 from nfai.hardness import UndirectedGraph, random_bundle
 from nfai.relations import MultiTapeAutomaton, multitape_accepts
 
@@ -155,6 +157,91 @@ def leapfrog_reference(tag, k: int, l: int):
         return volleys, tuple(u[j + 1:] if j < len(u) else u for j in range(k))
     _, i, u = tag
     return volleys, tuple(u[len(u) - (i - 1 - j) % k:] for j in range(k))
+
+
+def parse_certificate_reference(text: str):
+    """The certificate parser before the one-pass reader: every line split
+    with ``str.splitlines`` and ``str.split``, each hex field copied and
+    read with ``bytes.fromhex``, and a repeated or out-of-range line
+    silently kept or dropped.  The reference ``parse_certificate`` is
+    checked against."""
+
+    def fields(no, parts, usage, count=None, last=int):
+        args = parts[1:]
+        if count is None or len(args) == count:
+            try:
+                return [int(x) for x in args[:-1]] + [last(x) for x in args[-1:]]
+            except ValueError:
+                pass
+        raise FormatError(f"{parts[0]!r} takes {usage}", no)
+
+    def hex_mask(field):
+        return int.from_bytes(bytes.fromhex(field), "little")
+
+    lines = []
+    for no, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if stripped:
+            lines.append((no, stripped))
+    if not lines or lines[0][1] != CERT_MAGIC:
+        raise FormatError(f"expected magic line {CERT_MAGIC!r}", 1)
+    if len(lines) < 2 or lines[1][1] not in ("pathset", "cut"):
+        raise FormatError("expected certificate kind 'pathset' or 'cut'", lines[1][0] if len(lines) > 1 else 1)
+    kind = lines[1][1]
+    body = lines[2:]
+    if kind == "pathset":
+        k = None
+        word = None
+        runs = []
+        for no, line in body:
+            parts = line.split()
+            if parts[0] == "k":
+                (k,) = fields(no, parts, "one count", 1)
+            elif parts[0] == "word":
+                word = tuple(fields(no, parts, "letters"))
+            elif parts[0] == "run":
+                if fields(no, parts, "one run index", 1)[0] != len(runs):
+                    raise FormatError("runs must appear in order", no)
+                runs.append([])
+            elif parts[0] == "step":
+                if not runs:
+                    raise FormatError("'step' before any 'run'", no)
+                runs[-1].append(tuple(fields(no, parts, "src letter dst", 3)))
+            else:
+                raise FormatError(f"unknown directive {parts[0]!r}", no)
+        if k is None or word is None:
+            raise FormatError("pathset needs 'k' and 'word' lines", body[-1][0] if body else 1)
+        if len(runs) != k:
+            raise FormatError(f"declared k={k} but found {len(runs)} runs", body[-1][0])
+        return ShortPathset(word, tuple(tuple(r) for r in runs))
+    k = None
+    alphabet = None
+    sizes = None
+    sets = {}
+    for no, line in body:
+        parts = line.split()
+        if parts[0] == "k":
+            (k,) = fields(no, parts, "one count", 1)
+        elif parts[0] == "alphabet":
+            (alphabet,) = fields(no, parts, "one count", 1)
+        elif parts[0] == "states":
+            sizes = tuple(fields(no, parts, "component sizes"))
+        elif parts[0] == "set":
+            i, letter, mask = fields(no, parts, "component letter hex", 3, hex_mask)
+            sets[(i, letter)] = mask
+        else:
+            raise FormatError(f"unknown directive {parts[0]!r}", no)
+    if k is None or alphabet is None or sizes is None:
+        raise FormatError("cut needs 'k', 'alphabet' and 'states' lines", body[-1][0] if body else 1)
+    if len(sizes) != k:
+        raise FormatError(f"declared k={k} but 'states' lists {len(sizes)} sizes", body[-1][0])
+    ordered = []
+    for i in range(k):
+        for letter in range(alphabet):
+            if (i, letter) not in sets:
+                raise FormatError(f"missing 'set {i} {letter}' line", body[-1][0])
+            ordered.append(sets[(i, letter)])
+    return StaggeredCut(alphabet, sizes, tuple(ordered))
 
 
 @st.composite

@@ -553,6 +553,15 @@ def test_pathset_serialization_roundtrip():
     assert parse_certificate(text) == ps
 
 
+def test_serialized_certificate_is_its_lines_newline_ended():
+    bundle = clique_bundle(example_clique_graph(), 4)
+    ps = extract_short_pathset(bundle, decide_empty(bundle))
+    for cert in (ps, extract_staggered_cut(_disjoint_singletons())):
+        text = serialize_certificate(cert)
+        assert text.endswith("\n") and not text.endswith("\n\n")
+        assert text == "".join(line + "\n" for line in text.splitlines())
+
+
 def test_cut_serialization_roundtrip_and_hex():
     bundle = _disjoint_singletons()
     cut = extract_staggered_cut(bundle)
@@ -573,3 +582,35 @@ def test_certificate_parse_errors():
         parse_certificate("not a certificate\n")
     with pytest.raises(FormatError):
         parse_certificate("nfa-cert v1\npathset\nword 0\n")  # missing k and runs
+
+
+#: A valid two-component cut over one letter, its lines numbered 1-7.
+SMALL_CUT = "nfa-cert v1\ncut\nk 2\nalphabet 1\nstates 2 2\nset 0 0 01\nset 1 0 01\n"
+
+
+@pytest.mark.parametrize(
+    "text,line,message",
+    [
+        (SMALL_CUT + "set 0 0 03\n", 8, "duplicate 'set 0 0' line"),
+        (SMALL_CUT.replace("set 1 0 01\n", "set 0 0 01\nset 1 0 01\n"), 7, "duplicate 'set 0 0' line"),
+        (SMALL_CUT + "set 7 99 00\n", 8, "'set 7 99' is outside k=2 and alphabet=1"),
+        (SMALL_CUT + "set -1 0 00\n", 8, "'set -1 0' is outside k=2 and alphabet=1"),
+        ("nfa-cert v1\ncut\nset 0 1 00\nk 2\nalphabet 1\nstates 2 2\nset 0 0 01\nset 1 0 01\n", 3,
+         "'set 0 1' is outside k=2 and alphabet=1"),
+        (SMALL_CUT + "k 2\n", 8, "duplicate 'k' line"),
+        (SMALL_CUT + "alphabet 1\n", 8, "duplicate 'alphabet' line"),
+        (SMALL_CUT + "states 2 2\n", 8, "duplicate 'states' line"),
+        ("nfa-cert v1\npathset\nk 1\nword 0\nword 1\nrun 0\nstep 0 0 1\n", 5, "duplicate 'word' line"),
+        ("nfa-cert v1\npathset\nk 1\nword 0\nk 1\nrun 0\nstep 0 0 1\n", 5, "duplicate 'k' line"),
+    ],
+    ids=["set-appended", "set-before", "set-out-of-range", "set-negative", "set-before-header", "k", "alphabet",
+         "states", "pathset-word", "pathset-k"],
+)
+def test_certificate_parser_refuses_repeated_and_out_of_range_lines(text, line, message):
+    """A repeated directive or subset, or a subset outside the declared cut,
+    is refused at its line instead of silently winning or being dropped."""
+    from nfai.fileformat import FormatError
+
+    with pytest.raises(FormatError) as info:
+        parse_certificate(text)
+    assert str(info.value) == f"line {line}: {message}"

@@ -111,6 +111,18 @@ def test_verify_tampered_cut(empty_file, tmp_path, capsys):
     assert any(cond in out for cond in ("closure", "initial-missing", "base-copy-mismatch"))
 
 
+def test_verify_refuses_a_repeated_set_line(empty_file, tmp_path, capsys):
+    cert = tmp_path / "cut.cert"
+    main(["certify", str(empty_file), "-o", str(cert)])
+    text = cert.read_text()
+    first_set = next(line for line in text.splitlines() if line.startswith("set "))
+    cert.write_text(text + first_set + "\n")
+    capsys.readouterr()
+    assert main(["verify", str(empty_file), str(cert)]) == 2
+    n_lines = len(text.splitlines()) + 1
+    assert capsys.readouterr().err == f"error: line {n_lines}: duplicate '{' '.join(first_set.split()[:3])}' line\n"
+
+
 def test_verify_tampered_pathset(clique_file, tmp_path, capsys):
     cert = tmp_path / "ps.cert"
     main(["certify", str(clique_file), "-o", str(cert)])

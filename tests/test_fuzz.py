@@ -9,6 +9,7 @@ without raising on ``decide``, ``certify``, ``verify``, ``product`` and
 """
 
 import io
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -25,7 +26,7 @@ from nfai.fileformat import FormatError, parse_bundle, serialize_automaton, seri
 from nfai.hardness import clique_bundle, parse_graph, random_bundle, random_graph, serialize_graph
 from nfai.products import CONSTRUCTIONS
 
-from helpers import example_clique_graph
+from helpers import example_clique_graph, parse_certificate_reference
 
 
 def _certificate(bundle) -> str:
@@ -121,6 +122,48 @@ def test_graph_parser_raises_only_format_errors(text):
 @given(mutated(CERT_TEXTS, CERT_LINES))
 def test_certificate_parser_raises_only_format_errors(text):
     _parses_or_format_error(parse_certificate, text)
+
+
+#: The errors of lines that the reference parser silently kept or dropped: a
+#: repeated directive or subset, and a subset outside the declared cut.
+NOW_REFUSED = re.compile(r"line \d+: (duplicate '|'set -?\d+ -?\d+' is outside )")
+
+#: A valid cut in the form ``serialize_certificate`` writes.
+CUT = "nfa-cert v1\ncut\nk 2\nalphabet 2\nstates 2 3\nset 0 0 0f\nset 0 1 0f\nset 1 0 3f\nset 1 1 3f\n"
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return exc
+
+
+@FUZZ
+@given(mutated(CERT_TEXTS, CERT_LINES))
+@example(CUT)
+@example(CUT.replace("3f", "3F"))
+@example(CUT.replace("set 0 1 0f", "set 0 1 0f # base copy"))
+@example(CUT.replace("\n", "\r\n"))
+@example(CUT.replace("set 1 0 3f", "set 1 0\x0c3f"))
+@example(CUT.replace("k 2", "k 2\x0calphabet 2"))
+@example(CUT.replace("k 2", "k \u0662"))
+@example(CUT.replace("set 1 1 3f", "set 1 1 3 f"))
+@example(CUT.replace("set 1 1 3f", "set 1 1 3\tf"))
+@example(CUT.replace("set 0 0 0f", "\tset  0 0\u00a00f  "))
+@example(CUT.replace("set 0 0 0f", "set 0 0 0f\u2028"))
+def test_certificate_parser_matches_reference(text):
+    """The one-pass parser returns the reference's certificate or raises
+    its message at its line, except where it refuses a repeated or
+    out-of-range line, which the reference kept or dropped: then the
+    reference accepts, or fails no earlier than that line."""
+    got, want = _outcome(parse_certificate, text), _outcome(parse_certificate_reference, text)
+    if isinstance(got, FormatError) and NOW_REFUSED.match(str(got)):
+        assert not isinstance(want, FormatError) or want.line_no >= got.line_no
+    elif isinstance(want, FormatError):
+        assert isinstance(got, FormatError) and str(got) == str(want)
+    else:
+        assert got == want
 
 
 def _run(files: dict, *argv) -> int:
