@@ -3,8 +3,9 @@ texts.
 
 Valid texts are mutated - tokens swapped, lines dropped, lines inserted,
 numbers redeclared as counts up to 64 - and each parser must either parse
-the result or raise ``FormatError``; ``cli.main`` must answer 0, 1 or 2
-without raising on ``decide``, ``certify``, ``verify``, ``product`` and
+the result or raise ``FormatError``; the certificate parser must also
+agree with the reference in ``helpers``.  ``cli.main`` must answer 0, 1 or
+2 without raising on ``decide``, ``certify``, ``verify``, ``product`` and
 ``gen``.
 """
 
