@@ -3,7 +3,7 @@ intersections.
 
 The package builds five product automata for the intersection of k NFA
 (direct, nodding, echoing, catch-up, leapfrog), decides intersection
-emptiness on a word-parallel closure of the sparsest of them, certifies
+emptiness on a level-by-level closure of the sparsest of them, certifies
 either answer (short pathsets for non-emptiness, staggered cuts for
 emptiness, whose closure the verifier checks as the boolean matrix product
 ``Out . Δ <= In`` on packed tuple sets), and generates hard instances via

@@ -8,14 +8,12 @@ gives the word it spells.  Emptiness is certified by a *staggered cut*: per
 initial tuple, avoid all final tuples, and are closed under
 single-component moves.
 
-A cut is read off the word-parallel closure of the nodding table
-(``PreparedBundle.closure``) that decided the instance: its seen-mask of the
-base copy is every index-0 subset, and its seen-mask of petal copy (a, i),
-found by ``products.nodding_copy``, is subset (i, a).  The closure is kept
-on the prepared bundle with the state budget it ran under, so certifying
-after deciding costs no further moves.
-Only when the closure's work guard hands the bundle back does extraction
-walk the product state by state through ``products.reachable``.
+A cut is read off the closure of the nodding table
+(``PreparedBundle.closure``) that decided the instance: its seen set of the
+base copy is every index-0 subset, and its seen set of petal copy (a, i),
+found by ``products.nodding_copy``, is subset (i, a), each as a bitmask.
+The closure is kept on the prepared bundle with the state budget it ran
+under, so certifying after deciding costs no further moves.
 
 The cut verifier never walks the product's transition relation.  Closure is
 the boolean matrix-product inequality ``Out . Δ <= In``, where Out and In
@@ -37,12 +35,12 @@ from __future__ import annotations
 import binascii
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from .automata import EPSILON, InstanceBundle, RunViolation, run_is_accepting, validate_run
 from .boolmatrix import BoolMatrix
 from .decision import Decision
-from .products import ProductSpace, builder_for, nodding_copy, nodding_tag, reachable
+from .products import ProductSpace, nodding_copy, nodding_tag
 
 CERT_MAGIC = "nfa-cert v1"
 
@@ -179,52 +177,23 @@ def extract_staggered_cut(bundle: InstanceBundle) -> StaggeredCut:
     """Collect the accessible part of the nodding product into a cut.
 
     The base-copy tuples become every index-0 subset and the tuples of the
-    (letter, volley i) copy become subset (i, letter).  The word-parallel
-    closure of the nodding table (``PreparedBundle.closure``) gives them as
-    the seen-masks of those copies, run once per bundle and state budget, so
-    a cut extracted after ``decide_empty`` reuses the decision's closure;
-    only when its work guard hands the bundle back does the breadth-first
-    walk of ``products.reachable`` collect them state by state.  Raises
-    ValueError if the instance turns out to be non-empty (no cut exists
-    then), and BudgetExceeded when the tuple space or the accessible part
-    exceeds the state budget.
+    (letter, volley i) copy become subset (i, letter).  The closure of the
+    nodding table (``PreparedBundle.closure``) gives them as the seen sets of
+    those copies, run once per bundle and state budget, so a cut extracted
+    after ``decide_empty`` reuses the decision's closure; a closure held as
+    sets of tuple ids is read into masks here.  Raises ValueError if the
+    instance turns out to be non-empty (no cut exists then), and
+    BudgetExceeded when the tuple space or the accessible part exceeds the
+    state budget.
     """
     prepared = bundle.prepared
     prepared.space.check_tuple_budget()
     closure = prepared.closure()
-    if closure is None:
-        return _cut_by_walk(bundle)
     if closure.met:
         raise ValueError("intersection is non-empty; no staggered cut exists")
-    k, l, seen = bundle.k, bundle.n_letters, closure.seen
-    volleys = [seen.get(nodding_copy(letter, i, k), 0) for i in range(1, k) for letter in range(l)]
-    return StaggeredCut(l, prepared.space.sizes, tuple([seen[0]] * l + volleys))
-
-
-def _mask_of(tids: List[int], n_bits: int) -> int:
-    """The mask with bit t set for each t in ``tids``, built once: ORing
-    one bit at a time into an int would cost a pass over it per bit."""
-    if not tids:
-        return 0
-    data = bytearray((n_bits + 7) // 8)
-    for t in tids:
-        data[t >> 3] |= 1 << (t & 7)
-    return int.from_bytes(data, "little")
-
-
-def _cut_by_walk(bundle: InstanceBundle) -> StaggeredCut:
-    """:func:`extract_staggered_cut` one product state at a time."""
-    builder = builder_for("nodding", bundle)
-    k, l, base_size = bundle.k, bundle.n_letters, builder.space.base_size
-    members: Dict[int, List[int]] = {}  # per copy reached, its tuples
-    for sid, _ in reachable(builder):
-        if builder.is_final(sid):
-            raise ValueError("intersection is non-empty; no staggered cut exists")
-        tag, rest = divmod(sid, base_size)
-        members.setdefault(tag, []).append(rest)
-    masks = {tag: _mask_of(tids, base_size) for tag, tids in members.items()}
-    volleys = [masks.get(nodding_copy(letter, i, k), 0) for i in range(1, k) for letter in range(l)]
-    return StaggeredCut(l, builder.sizes, tuple([masks[0]] * l + volleys))
+    k, l, seen, mask_of = bundle.k, bundle.n_letters, closure.seen, prepared.space.mask_of
+    volleys = [mask_of(seen.get(nodding_copy(letter, i, k), 0)) for i in range(1, k) for letter in range(l)]
+    return StaggeredCut(l, prepared.space.sizes, tuple([mask_of(seen[0])] * l + volleys))
 
 
 def _cut_shape_ok(bundle: InstanceBundle, cut: StaggeredCut) -> bool:

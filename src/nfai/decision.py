@@ -5,23 +5,22 @@ The default decider works on the nodding product, whose accessible part is
 the sparsest of the constructions; the direct-product decider exists as the
 baseline the benchmarks compare against.
 
-One closure decides both outcomes.  The word-parallel closure of the
-nodding table (``PreparedBundle.closure``, on ``products.close_table``)
-holds each set of reached tuples as one bitmask and grows the base copy a
-letter layer at a time, each tuple kept in the first layer that reaches it,
-until a layer meets a final tuple.  On an empty instance it alone gives the
-answer and both counters.  On a non-empty one, ``_from_layers`` reads the
-witness run and the counters off copy 0's layers.  The run is the one a
+One closure decides both outcomes.  The closure of the nodding table
+(``PreparedBundle.closure``, on ``products.close_table``) holds each set of
+reached tuples as a set of tuple ids while the levels are thin and as one
+bitmask once they are dense, and grows the base copy a letter layer at a
+time, each tuple kept in the first layer that reaches it, until a layer
+meets a final tuple.  On an empty instance it alone gives the answer and
+both counters.  On a non-empty one, ``_from_layers`` reads the witness run
+and the counters off copy 0's layers, in either form.  The run is the one a
 breadth-first search with word-sorted layers returns: as short as possible,
 which the certificate layer relies on, and the lexicographically least
 among the shortest, matching the oracle, with ties between runs on one word
 broken by state ids.
 
-The list engine, ``_search``, is that search.  It walks the product one
-state at a time and takes the whole decision only when the closure's work
-guard hands the bundle back: when the tuple space exceeds the state budget,
-or the closure's big-int work outgrows the product states it has reached.
-The rule is fixed in code; both engines give the same Decision.
+The list engine, ``_search``, is that search, one state at a time.  It
+decides on the direct product for the baseline, and is the reference the
+closure's Decisions are tested against.
 """
 
 from __future__ import annotations
@@ -140,35 +139,37 @@ def _from_layers(bundle: InstanceBundle, closure: Closure) -> Decision:
     """
     prepared = bundle.prepared
     space, letters, layers = prepared.space, prepared.letters, closure.layers
+    empty = type(closure.met)  # empty() is a new empty set in the closure's form
     k, last = len(letters), len(layers) - 1
     moving = [letter for _, _, letter, _ in prepared.nodding[0]]
     inverse = {a: [_inverted(component[a]) for component in letters] for a in moving}
 
-    def petal(mask: int, a: int) -> int:
+    def petal(tuples, a: int):
         for i, component in enumerate(letters):
-            if not mask:
+            if not tuples:
                 break
-            mask = space.move(mask, i, component[a])
-        return mask
+            tuples = space.move(tuples, i, component[a])
+        return tuples
 
-    def back(mask: int, a: int) -> int:
+    def back(tuples, a: int):
         for i in range(k - 1, -1, -1):
-            if not mask:
+            if not tuples:
                 break
-            mask = space.move(mask, i, inverse[a][i])
-        return mask
+            tuples = space.move(tuples, i, inverse[a][i])
+        return tuples
 
     # coreach[d]: the tuples that some word of length last - d leads to a
     # final tuple of the last layer; those of layer d are all it is met with
-    coreach = [0] * last + [closure.met]
+    coreach = [None] * last + [closure.met]
     for d in range(last - 1, 0, -1):
+        coreach[d] = empty()
         for a in moving:
             coreach[d] |= back(coreach[d + 1], a)
     # reach: the tuples of layer d that the least word's prefix reaches;
     # below: those whose least word is below that prefix
-    word, reach, below = [], layers[0], 0
+    word, reach, below = [], layers[0], empty()
     for d in range(last):
-        nxt, lower = None, 0
+        nxt, lower = None, empty()
         for a in moving:
             if nxt is None:
                 moved = petal(reach, a) & layers[d + 1]
@@ -193,7 +194,7 @@ def _from_layers(bundle: InstanceBundle, closure: Closure) -> Decision:
 
     # the run takes the least successor that stays live at each step;
     # earlier: the tuples the word reaches through a run below it so far
-    run, earlier, tid = [], 0, prepared.initial
+    run, earlier, tid = [], empty(), prepared.initial
     for t, (i, a) in enumerate(steps):
         targets = letters[i][a]
         earlier = space.move(earlier, i, targets)
@@ -201,13 +202,13 @@ def _from_layers(bundle: InstanceBundle, closure: Closure) -> Decision:
         q = tid // stride % space.sizes[i]
         for state in targets[q]:  # ascending, so their tuples ascend too
             dst = tid + (state - q) * stride
-            if live[t + 1] >> dst & 1:
+            if live[t + 1] & space.single(dst, earlier):
                 break
-            earlier |= 1 << dst
+            earlier |= space.single(dst, earlier)
         run.append((sid(t, tid), EPSILON if i else a, sid(t + 1, dst)))
         tid = dst
-    explored = closure.states + below.bit_count() + (earlier & layers[last] & ~below).bit_count() + 1
-    if explored > (limit := state_budget()):
+    explored = closure.states + space.count(below | earlier & layers[last]) + 1
+    if explored > max(limit := state_budget(), 1):
         raise BudgetExceeded.exploring("nodding", limit)
     return Decision(False, tuple(run), explored, closure.transitions)
 
@@ -215,17 +216,14 @@ def _from_layers(bundle: InstanceBundle, closure: Closure) -> Decision:
 def decide_empty(bundle: InstanceBundle) -> Decision:
     """Decide whether the intersection of the bundle's languages is empty.
 
-    The word-parallel closure decides.  If it closes the accessible part
-    without meeting a final tuple, the instance is empty and the closure's
-    counts are the Decision's; otherwise the witness run and the counts
-    come from its letter layers.  Only when its guard hands the bundle back
-    does the breadth-first search ``_search`` decide instead.  Either way
-    the Decision is the one ``_search`` returns, and BudgetExceeded is
-    raised exactly when ``_search`` would raise it.
+    The closure of the nodding table decides.  If it closes the accessible
+    part without meeting a final tuple, the instance is empty and the
+    closure's counts are the Decision's; otherwise the witness run and the
+    counts come from its letter layers.  The Decision is the one the
+    breadth-first search ``_search`` returns, and BudgetExceeded is raised
+    exactly when ``_search`` would raise it.
     """
     closure = bundle.prepared.closure()
-    if closure is None:
-        return _search(builder_for("nodding", bundle))
     if not closure.met:
         return Decision(True, None, closure.states, closure.transitions)
     return _from_layers(bundle, closure)

@@ -23,16 +23,16 @@ needs - and ``ProductBuilder`` reads successors, finality and size totals
 off that table.  Copies are numbered arithmetically and filled on first
 lookup, so a walk builds only the copies it reaches, a witness run's included.
 
-Every sparse construction is also explored word-parallel by one loop,
-``close_table``: it holds each set of reached tuples as one bitmask over the
-tuple space, one seen-mask per copy, and moves a whole set through a volley
-in one masked-shift pass, a level at a time.  On a builder's table it gives
+Every sparse construction is also explored a level at a time by one loop,
+``close_table``, with one seen set per copy.  While the levels are thin it
+holds each set of reached tuples as a Python set of tuple ids, moved member
+by member; once they are dense, as one bitmask over the tuple space, moved
+through a volley in one masked-shift pass.  On a builder's table it gives
 the accessible sizes and finality behind ``accessible_stats``.  On the
 nodding table of the prepared bundle, stopped at the first base layer that
 meets a final tuple, a single forward pass decides both outcomes: it counts
 what the list search would explore, and copy 0's layers hold what the
-decision needs to rebuild the witness run.  One work guard hands thin
-accessible parts in large tuple spaces back to the state-by-state walk.
+decision needs to rebuild the witness run.
 
 All constructions share a mixed-radix state encoding with the copy number
 most significant and component 0 least significant, so tuples of copy 0
@@ -140,34 +140,43 @@ class ProductSpace:
             raise BudgetExceeded(
                 f"cut tuple space has {self.base_size} tuples, over the state budget of {limit}")
 
-    def move(self, mask: int, i: int, targets: Dict[int, Sequence[int]]) -> int:
-        """Tuples reached from the set ``mask`` by moving component i from
+    def move(self, tuples, i: int, targets: Dict[int, Sequence[int]]):
+        """Tuples reached from the set ``tuples`` by moving component i from
         each state q to every state of ``targets[q]``, the other components
         fixed; only the states keyed in ``targets`` are visited.
 
-        This is the boolean product Out . Δ of the matrix exposing component
-        i with the move relation Δ, computed one column at a time: column q
-        (the members with component i = q, shifted down to q = 0) is a single
-        masked shift, and each move q -> d shifts it back up to d.
+        On a mask this is the boolean product Out . Δ of the matrix exposing
+        component i with the move relation Δ, computed one column at a time:
+        column q (the members with component i = q, shifted down to q = 0) is
+        a single masked shift, and each move q -> d shifts it back up to d.
         """
+        if isinstance(tuples, set):
+            return self.move_counting(tuples, i, targets)[0]
         stride = self.strides[i]
         zero = self.zero_masks[i]
         moved = 0
         for q, dsts in targets.items():
-            column = (mask >> (q * stride)) & zero
+            column = (tuples >> (q * stride)) & zero
             if column:
                 for d in dsts:
                     moved |= column << (d * stride)
         return moved
 
-    def move_counting(self, mask: int, i: int, targets: Dict[int, Sequence[int]]) -> Tuple[int, int]:
+    def move_counting(self, tuples, i: int, targets: Dict[int, Sequence[int]]) -> tuple:
         """:meth:`move` plus the number of single moves it stands for: the
         members of each column times the column state's successor count."""
         stride = self.strides[i]
-        zero = self.zero_masks[i]
         moved = count = 0
+        if isinstance(tuples, set):  # member by member
+            moved, n = set(), self.sizes[i]
+            for tid in tuples:
+                if (q := tid // stride % n) in targets:
+                    count += len(targets[q])
+                    moved.update(tid + (d - q) * stride for d in targets[q])
+            return moved, count
+        zero = self.zero_masks[i]
         for q, dsts in targets.items():
-            column = (mask >> (q * stride)) & zero
+            column = (tuples >> (q * stride)) & zero
             if column:
                 count += column.bit_count() * len(dsts)
                 for d in dsts:
@@ -188,6 +197,41 @@ class ProductSpace:
         high, low = divmod(tid, stride * n)
         col = next(q for q in range(n) if (mask >> (tid + q * stride)) & 1)
         return high * stride + low, col
+
+    # --- thin tuple sets as Python sets of tuple ids -----------------------------
+    # Both forms share ``&``, ``|`` and ``^`` (``x ^ (x & y)`` is x without y).
+
+    @staticmethod
+    def count(tuples) -> int:
+        return len(tuples) if isinstance(tuples, set) else tuples.bit_count()
+
+    @staticmethod
+    def single(tid: int, like):
+        """The set of the tuple ``tid`` alone, in the form of ``like``."""
+        return {tid} if isinstance(like, set) else 1 << tid
+
+    def select(self, tuples, choices: Sequence[Iterable[int]]):
+        """The members of ``tuples`` with each component i in ``choices[i]``."""
+        if not isinstance(tuples, set):
+            return tuples & self.product_mask(choices)
+        return {tid for tid in tuples
+                if all(tid // stride % n in allowed for stride, n, allowed in zip(self.strides, self.sizes, choices))}
+
+    def mask_of(self, tuples) -> int:
+        """The mask of ``tuples``, a mask or a set of tuple ids.  Fewer than 16
+        ids are ORed in ascending order, each OR passing over the bits below
+        its id; more are set in one bytearray read as an int once."""
+        if isinstance(tuples, int):
+            return tuples
+        if len(tuples) < 16:
+            mask = 0
+            for tid in sorted(tuples):
+                mask |= 1 << tid
+            return mask
+        data = bytearray((self.base_size + 7) // 8)
+        for tid in tuples:
+            data[tid >> 3] |= 1 << (tid & 7)
+        return int.from_bytes(data, "little")
 
 
 def _repeat(block: int, period: int, count: int) -> int:
@@ -364,9 +408,9 @@ class PreparedBundle:
         self.initial = self.space.encode([a.initial for a in bundle.automata])
         self._closure = (None, None)  # (state budget, the nodding table's closure)
 
-    def closure(self) -> Optional[Closure]:
+    def closure(self) -> Closure:
         """:func:`close_table` of the nodding table, stopped at the first
-        base layer that meets the final mask: run once per state budget in
+        base layer that meets a final tuple: run once per state budget in
         force; a call that raises BudgetExceeded keeps nothing, so the next
         call under that budget raises again."""
         limit = state_budget()
@@ -398,106 +442,97 @@ class PreparedBundle:
         return tuple(_word_relations(letters, len(self.automata)) for letters in self.letters)
 
 
-#: The closure's work guard, in 64-bit words of big-int work: a move costs
-#: a pass over the tuple space for each state that moves, however few
-#: tuples its set holds.  On a 2-vCPU VM (Python 3.11) the list search
-#: spends 7-8 us per state and the closure 2-3 ns per word, so 2000
-#: words per state reached keeps the closure below the search's cost.  The
-#: fixed allowance pays for the first levels, which reach few states: the
-#: dense k=5 clique benchmark instance (24 vertices) spends 10.7 M words
-#: on its first letter layer for 73 states.  When copy 0's new front is at
-#: least twice its previous front, the work charged since that front is
-#: refunded, since the states it reaches outnumber all earlier ones and a
-#: front can double only log2 of the tuple space times; that keeps dense
-#: cliques on the closure.  Their base fronts grow 1, 24, 276, 1542, 4392,
-#: 1068 on that benchmark instance (seed 7), and 1, 24, 278, 1572, 4296,
-#: 912 on the k=5 clique of ``random:24,0.5,1`` that CI decides.  Fronts of
-#: thin instances do not grow: two 200-state one-letter chains hand the
-#: nodding table back after 67 layers (about 12 ms), two 3000-state chains
-#: hand every table back before its first move (421 M words).
-CLOSURE_WORDS = 1 << 24
-CLOSURE_WORDS_PER_STATE = 2000
+#: The closure's switch from sets of tuple ids to bitmasks: a level switches
+#: when its members times one plus the last level's moves per member, times
+#: this many 64-bit words, exceed the columns it moves times the tuple space's
+#: words.  On the seed-7 benchmark instances (2-vCPU VM, Python 3.11), 96 to
+#: 192 give the same levels and times but for two parity-split instances; at
+#: 64 the sparse k=4 clique switches too late to pay for the conversion (5.2
+#: against 3.9 ms), at 32 the dense k=4 clique (18 against 12 ms).
+SET_STEP_WORDS = 128
 
 
 @dataclass(frozen=True)
 class Closure:
-    """A copy table's accessible part as tuple sets, from :func:`close_table`.
+    """A copy table's accessible part as tuple sets of one form, from :func:`close_table`.
 
     ``seen[t]`` holds the tuples reached in copy t, for each copy reached.
     ``layers`` holds copy 0's fronts in the order reached, the initial tuple
     first; on the nodding table ``layers[d]`` holds the base tuples first
     reached by a word of length d, at distance ``d * k``.  ``met`` is the
-    last layer's meet with the stop mask, 0 when the loop never stopped.
+    last layer's meet with the stop mask, empty when the loop never stopped.
     ``states`` counts the states at the levels before the stop level and
     ``transitions`` their moves, as the list walks count them: without a
     stop, the whole accessible part.
     """
 
     layers: tuple
-    seen: Dict[int, int]
-    met: int
+    seen: dict
+    met: Union[set, int]
     states: int
     transitions: int
 
 
-def close_table(table, prepared: "PreparedBundle", limit: int, name: str,
-                stop: bool = False) -> Optional[Closure]:
+def close_table(table, prepared: "PreparedBundle", limit: int, name: str, stop: bool = False) -> Closure:
     """Close a copy table from the initial tuple in copy 0, one level at a
-    time and one bitmask per set.  ``table[t]`` lists the volleys leaving
-    copy t as ``(component, lists, label, next copy)``, as
-    ``ProductBuilder.moves`` does.  In each level every copy's front moves
-    through each volley leaving it by :meth:`ProductSpace.move_counting`;
-    the landings in a copy are ORed together and what that copy has already
-    seen is removed, once per copy.  With ``stop``, the loop stops at the
-    first level where copy 0's new front meets the final mask.
+    time.  ``table[t]`` lists the volleys leaving copy t as ``(component,
+    lists, label, next copy)``, as ``ProductBuilder.moves`` does.  In each
+    level every copy's front moves through each volley leaving it by
+    :meth:`ProductSpace.move_counting`; the landings in a copy are ORed
+    together and what that copy has already seen is removed, once per copy.
+    With ``stop``, the loop stops at the first level where copy 0's new front
+    meets a final tuple.
 
-    Returns None, for the caller to walk the product by lists instead, when
-    the tuple space exceeds ``limit`` or when the work charged so far, as
-    columns moved times the tuple space's machine words, exceeds
-    ``CLOSURE_WORDS`` plus ``CLOSURE_WORDS_PER_STATE`` per state counted;
-    see the guard constants for the refund.  A move costs a pass over the
-    whole tuple space however few tuples it holds, so a thin accessible part
-    is cheaper by lists.  Raises BudgetExceeded for the construction
-    ``name`` at the end of a level, the stop level excepted, once the
-    counted states exceed ``limit``.
+    Fronts, seen sets and layers start as sets of tuple ids.  At the start
+    of a level they all become bitmasks, for good, once sets would cost more
+    (``SET_STEP_WORDS``), unless the tuple space exceeds ``limit``: then no
+    mask is built.  Raises BudgetExceeded for the construction ``name`` at
+    the end of a level, the stop level excepted, once the counted states
+    exceed ``limit``, the initial state alone excepted.
     """
     space = prepared.space
-    if space.base_size > limit:
-        return None
     words = (space.base_size + 63) // 64
-    final_mask = prepared.final_mask if stop else 0
-    seen = {0: 1 << prepared.initial}
-    fronts, layers = dict(seen), [seen[0]]
-    states = transitions = work = spent = met = 0
-    width = 1
-    while fronts and not (met := fronts.get(0, 0) & final_mask):
-        states += sum(map(int.bit_count, fronts.values()))
-        if states > limit:
+    finals = [a.finals for a in prepared.automata]
+    seen, fronts, met = {0: {prepared.initial}}, {0: {prepared.initial}}, set()
+    layers = [fronts[0]]
+    dense, states, transitions = False, 0, 0
+    last = (1, 0)  # the last level's members, and the moves counted before it
+    while fronts:
+        if stop and 0 in fronts:
+            met = fronts[0] & prepared.final_mask if dense else space.select(fronts[0], finals)
+            if met:
+                break
+        members = sum(map(space.count, fronts.values()))
+        states += members
+        if states > max(limit, 1):  # the initial state alone is never refused
             raise BudgetExceeded.exploring(name, limit)
-        landed: Dict[int, int] = {}
+        if not dense and space.base_size <= limit:
+            columns = sum(len(lists) for t in fronts for _, lists, _, _ in table[t])
+            dense = 0 < columns * words * last[0] < members * (last[0] + transitions - last[1]) * SET_STEP_WORDS
+            if dense:
+                fronts = {t: space.mask_of(tuples) for t, tuples in fronts.items()}
+                seen = {t: space.mask_of(tuples) for t, tuples in seen.items()}
+                layers, met = list(map(space.mask_of, layers)), 0
+        last = (members, transitions)
+        landed: dict = {}
         for t, front in fronts.items():
             for component, lists, _, nxt in table[t]:
-                if not lists:
-                    continue
-                work += len(lists) * words
-                if work > CLOSURE_WORDS + CLOSURE_WORDS_PER_STATE * states:
-                    return None
-                moved, moves = space.move_counting(front, component, lists)
-                transitions += moves
-                if moved:
-                    landed[nxt] = landed.get(nxt, 0) | moved
+                if lists:
+                    moved, moves = space.move_counting(front, component, lists)
+                    transitions += moves
+                    if nxt in landed:
+                        landed[nxt] |= moved
+                    elif moved:
+                        landed[nxt] = moved
         fronts = {}
-        for t, mask in landed.items():
-            fresh = mask & ~seen.get(t, 0)
+        for t, reached in landed.items():
+            old = seen.setdefault(t, type(reached)())
+            fresh = reached ^ (reached & old)
             if fresh:
-                seen[t] = seen.get(t, 0) | fresh
-                fronts[t] = fresh
+                old |= fresh  # in place for a set
+                seen[t], fronts[t] = old, fresh
         if 0 in fronts:
             layers.append(fronts[0])
-            grown = fronts[0].bit_count()
-            if grown >= 2 * width:
-                work = spent  # a front that doubles pays for its level
-            width, spent = grown, work
     return Closure(tuple(layers), seen, met, states, transitions)
 
 
@@ -909,20 +944,17 @@ def accessible_stats(
     The four sparse constructions are counted by :func:`close_table` on
     their builders' copy tables: each state is in one front, and each move
     count is the sum of its members' successor lists, so the counts are the
-    walk's.  When its work guard hands the call back, and always for
-    ``direct``, the baseline the sparse sizes are compared with, the
-    ``reachable`` walk counts one successor list at a time.  Both give the
-    same counts and raise BudgetExceeded in the same cases."""
+    walk's.  ``direct``, the baseline the sparse sizes are compared with, is
+    counted by the ``reachable`` walk, one successor list at a time.  Both
+    raise BudgetExceeded in the same cases."""
     builder = builder_for(construction, bundle)
-    closure = None
-    if construction != "direct":
-        closure = close_table(builder.moves, builder.prepared, state_budget(budget), construction)
-    if closure is None:
+    if construction == "direct":
         visits = [(sid, len(successors)) for sid, successors in reachable(builder, budget)]
         states, transitions = len(visits), sum(n for _, n in visits)
         nonempty = any(builder.is_final(sid) for sid, _ in visits)
     else:
+        closure = close_table(builder.moves, builder.prepared, state_budget(budget), construction)
         states, transitions = closure.states, closure.transitions
-        nonempty = any(mask & builder.prepared.space.product_mask(accept)
-                       for t, mask in closure.seen.items() if (accept := builder.accept[t]) is not None)
+        nonempty = any(builder.prepared.space.select(tuples, accept)
+                       for t, tuples in closure.seen.items() if (accept := builder.accept[t]) is not None)
     return _stats(builder, bundle, states, transitions), nonempty

@@ -10,6 +10,7 @@ from nfai.automata import InstanceBundle, Nfa, accepts
 from nfai.certificates import CERT_MAGIC, ShortPathset, StaggeredCut
 from nfai.fileformat import FormatError
 from nfai.hardness import UndirectedGraph, random_bundle
+from nfai.products import builder_for, nodding_copy, reachable
 from nfai.relations import MultiTapeAutomaton, multitape_accepts
 
 
@@ -266,6 +267,24 @@ def chains(n: int) -> InstanceBundle:
     def chain(final):
         return Nfa(n, 1, tuple((q, 0, q + 1) for q in range(n - 1)), 0, frozenset({final}))
     return InstanceBundle((chain(n - 1), chain(n - 2)))
+
+
+def cut_by_walk(bundle: InstanceBundle) -> StaggeredCut:
+    """``extract_staggered_cut`` one nodding product state at a time, through
+    the ``products.reachable`` walk: the reference the closure's cuts are
+    checked against.  Raises ValueError on a non-empty bundle."""
+    builder = builder_for("nodding", bundle)
+    space = bundle.prepared.space
+    k, l = bundle.k, bundle.n_letters
+    members = {}  # per copy reached, its tuples
+    for sid, _ in reachable(builder):
+        if builder.is_final(sid):
+            raise ValueError("intersection is non-empty; no staggered cut exists")
+        tag, rest = divmod(sid, space.base_size)
+        members.setdefault(tag, []).append(rest)
+    masks = {tag: space.mask_of(tids) for tag, tids in members.items()}
+    volleys = [masks.get(nodding_copy(letter, i, k), 0) for i in range(1, k) for letter in range(l)]
+    return StaggeredCut(l, space.sizes, tuple([masks[0]] * l + volleys))
 
 
 #: Word encoding the unique 4-clique of :func:`example_clique_graph`,

@@ -1,10 +1,11 @@
-"""The word-parallel closure of the nodding table, ``PreparedBundle.closure``
-on ``products.close_table``, against the list engines it stands in for:
+"""The closure of the nodding table, ``PreparedBundle.closure`` on
+``products.close_table``, against the list engines it stands in for:
 ``decision._search`` for whole Decisions, witness runs included, the
-``products.reachable`` walk for every cut subset, and both for the state
-budget.  Its work guard is checked on bundles whose tuple space is far
-larger than their accessible part and on dense cliques.  The same loop
-behind ``accessible_stats`` counts what the decision counts.
+reference walk ``helpers.cut_by_walk`` for every cut subset, and both for
+the state budget.  Its two forms, sets of tuple ids and bitmasks, are each
+forced through ``products.SET_STEP_WORDS`` and checked on bundles whose tuple
+space is far larger than their accessible part and on dense cliques.  The
+same loop behind ``accessible_stats`` counts what the decision counts.
 """
 
 import os
@@ -21,17 +22,28 @@ from hypothesis import given, settings
 import nfai
 from nfai import products
 from nfai.automata import InstanceBundle, Nfa
-from nfai.certificates import _cut_by_walk, extract_short_pathset, extract_staggered_cut, verify_short_pathset
-from nfai.decision import _search, decide_empty
+from nfai.certificates import extract_short_pathset, extract_staggered_cut, verify_short_pathset
+from nfai.decision import _search, decide_empty, witness_word
+from nfai.fileformat import parse_bundle
 from nfai.hardness import clique_bundle, random_graph
 from nfai.products import CONSTRUCTIONS, BudgetExceeded, accessible_stats, builder_for
 
-from helpers import acceptance_corpus, bundles, chains
+from helpers import acceptance_corpus, bundles, chains, cut_by_walk
+
+#: ``products.SET_STEP_WORDS`` values that force sets of tuple ids at every
+#: level, and bitmasks from the first level that moves, where the tuple space
+#: fits the budget
+ALL_SETS, ALL_MASKS = 0, 1 << 62
 
 
 def _fresh(bundle):
     """An equal bundle with its own prepared tables."""
     return InstanceBundle(bundle.automata)
+
+
+def _form(bundle):
+    """The type the nodding closure holds its tuple sets in: set or int."""
+    return type(bundle.prepared.closure().met)
 
 
 def _outcome(call):
@@ -45,9 +57,8 @@ def _check_against_list_engines(bundle):
     """Closure and list engines agree; returns whether the bundle is empty."""
     reference = _search(builder_for("nodding", bundle))
     closure = bundle.prepared.closure()
-    assert closure is not None  # small tuple spaces never trip the guard
-    assert (closure.met == 0) == reference.empty
-    assert closure.met & ~bundle.prepared.final_mask == 0
+    assert (not closure.met) == reference.empty
+    assert bundle.prepared.space.select(closure.met, [a.finals for a in bundle.automata]) == closure.met
     decided = decide_empty(_fresh(bundle))
     assert decided == reference  # the answer, the witness run and both counters
     if not reference.empty:
@@ -58,7 +69,7 @@ def _check_against_list_engines(bundle):
             extract_staggered_cut(bundle)
         return False
     assert (closure.states, closure.transitions) == (reference.explored_states, reference.explored_transitions)
-    cut, walked = extract_staggered_cut(bundle), _cut_by_walk(bundle)
+    cut, walked = extract_staggered_cut(bundle), cut_by_walk(bundle)
     assert (cut.n_letters, cut.sizes) == (walked.n_letters, walked.sizes)
     assert [hex(s) for s in cut.sets] == [hex(s) for s in walked.sets]
     return True
@@ -90,8 +101,9 @@ def _budget(limit):
 def _check_budget_alike(bundle):
     """With the budget at the states the list search explores, both engines
     pass; with one less, both raise, and extraction follows the walk's
-    outcome exactly.  Returns how many of these runs the closure answered,
-    on empty and on non-empty bundles."""
+    outcome exactly.  Returns how many of these runs the closure answered
+    with the tuple space within the budget, on empty and on non-empty
+    bundles."""
     reference = _search(builder_for("nodding", bundle))
     explored, closure_runs = reference.explored_states, [0, 0]
     for limit in (explored, explored - 1):
@@ -102,9 +114,9 @@ def _check_budget_alike(bundle):
             if explored > 1:
                 assert isinstance(expected, str) == (limit < explored), limit
             if reference.empty:
-                walked = _outcome(lambda: (probe.prepared.space.check_tuple_budget(), _cut_by_walk(probe))[1])
+                walked = _outcome(lambda: (probe.prepared.space.check_tuple_budget(), cut_by_walk(probe))[1])
                 assert _outcome(lambda: extract_staggered_cut(_fresh(bundle))) == walked, limit
-            closure_runs[reference.empty] += probe.prepared.space.base_size <= limit  # not the fallback
+            closure_runs[reference.empty] += probe.prepared.space.base_size <= limit  # masks allowed
     return closure_runs
 
 
@@ -142,22 +154,18 @@ def test_stats_count_what_the_decision_counts_on_empty_bundles(corpus):
     assert empties > 50
 
 
-def test_forced_fallback_gives_the_same_results(corpus, monkeypatch):
+def test_forced_forms_give_the_same_results(corpus, monkeypatch):
+    """A closure forced to masks keeps sets only when it stops before its
+    first move."""
     sample = [bundle for _, bundle in corpus[::5]]
-
-    def results():
-        out = []
+    for words, form in ((ALL_SETS, set), (ALL_MASKS, int)):
+        monkeypatch.setattr(products, "SET_STEP_WORDS", words)
+        assert sum(_form(_fresh(bundle)) is form for bundle in sample) > len(sample) * 3 // 4
         for bundle in sample:
             result = decide_empty(_fresh(bundle))
-            out.append((result, extract_staggered_cut(_fresh(bundle)) if result.empty else None))
-        return out
-
-    closure = results()
-    monkeypatch.setattr(products, "CLOSURE_WORDS", -1)  # trips at the first move
-    monkeypatch.setattr(products, "CLOSURE_WORDS_PER_STATE", 0)
-    fallbacks = sum(_fresh(bundle).prepared.closure() is None for bundle in sample)
-    assert fallbacks > len(sample) // 2
-    assert results() == closure
+            assert result == _search(builder_for("nodding", bundle))
+            if result.empty:
+                assert extract_staggered_cut(_fresh(bundle)) == cut_by_walk(bundle)
 
 
 def test_closure_witness_among_many_final_tuples():
@@ -206,38 +214,55 @@ def test_letters_without_moves_share_one_table():
     assert len({id(lists) for lists in letters}) == 2
 
 
-# --- the work guard ------------------------------------------------------------------
+# --- the two forms ---------------------------------------------------------------
 
-def test_guard_hands_long_chains_to_the_list_engines(monkeypatch):
-    bundle = chains(3000)  # 9,000,000 tuples: under the default state budget
+def test_long_chains_close_by_sets(monkeypatch):
+    """Two 3000-state chains: 9,000,000 tuples, under the default state
+    budget, and 5999 accessible states.  By masks a level would pass over the
+    tuple space once per state that moves; by sets the closure decides and
+    certifies as the list engines do."""
+    bundle = chains(3000)
     assert bundle.prepared.space.base_size <= products.state_budget()
-    started = time.perf_counter()
-    with monkeypatch.context() as patched:  # handed back before the first move
-        patched.setattr(products.ProductSpace, "move_counting", None)
-        assert bundle.prepared.closure() is None
-    result = decide_empty(bundle)
-    decided = time.perf_counter() - started
-    assert (result.empty, result.explored_states, result.explored_transitions) == (True, 5999, 5998)
-    assert decided < 5
-    started = time.perf_counter()
-    cut = extract_staggered_cut(chains(3000))
-    assert time.perf_counter() - started < 5
-    assert cut.set_for(0, 0).bit_count() == 3000 and cut.set_for(1, 0).bit_count() == 2999
+    expected = _search(builder_for("nodding", bundle))
+    assert (expected.empty, expected.explored_states, expected.explored_transitions) == (True, 5999, 5998)
+    walked = cut_by_walk(bundle)
+    for words in (products.SET_STEP_WORDS, ALL_SETS):
+        monkeypatch.setattr(products, "SET_STEP_WORDS", words)
+        started = time.perf_counter()
+        probe = chains(3000)
+        assert decide_empty(probe) == expected
+        assert time.perf_counter() - started < 5
+        assert _form(probe) is set
+        started = time.perf_counter()
+        cut = extract_staggered_cut(chains(3000))
+        assert time.perf_counter() - started < 5
+        assert cut == walked
+        assert cut.set_for(0, 0).bit_count() == 3000 and cut.set_for(1, 0).bit_count() == 2999
 
 
-def test_guard_keeps_dense_cliques_on_the_closure():
-    """The dense k=5 clique bundle of the console-script round trip: its
-    first letter layer costs about 10.7 M words for 73 states, and every
-    later front at least doubles."""
+def test_dense_cliques_close_by_masks(monkeypatch):
+    """The dense k=5 clique bundle of the console-script round trip: its base
+    fronts grow 1, 24, 278, 1572, 4296, so the closure switches to masks;
+    forced to keep sets, it gives the same Decision."""
     bundle = clique_bundle(random_graph(24, 0.5, 1), 5)
-    closure = bundle.prepared.closure()
-    assert closure is not None and closure.met
-    assert decide_empty(_fresh(bundle)) == _search(builder_for("nodding", bundle))
+    expected = _search(builder_for("nodding", bundle))
+    assert _form(bundle) is int and bundle.prepared.closure().met
+    assert decide_empty(_fresh(bundle)) == expected
+    monkeypatch.setattr(products, "SET_STEP_WORDS", ALL_SETS)
+    probe = _fresh(bundle)
+    assert decide_empty(probe) == expected
+    assert _form(probe) is set
 
 
-def test_guard_keeps_short_chains_on_the_closure():
-    closure = chains(50).prepared.closure()
-    assert closure is not None and (closure.states, closure.transitions) == (99, 98)
+def test_short_chains_close_alike_in_either_form(monkeypatch):
+    expected = _search(builder_for("nodding", chains(50)))
+    for words, form in ((products.SET_STEP_WORDS, set), (ALL_SETS, set), (ALL_MASKS, int)):
+        monkeypatch.setattr(products, "SET_STEP_WORDS", words)
+        bundle = chains(50)
+        closure = bundle.prepared.closure()
+        assert type(closure.met) is form and (closure.states, closure.transitions) == (99, 98)
+        assert decide_empty(bundle) == expected
+        assert extract_staggered_cut(bundle) == cut_by_walk(bundle)
 
 
 # two 2-state components declaring 2,000,000 letters, one transition; the
@@ -289,7 +314,7 @@ def test_huge_alphabet_witness_costs_its_moving_letters(tmp_path):
 
 def test_huge_alphabet_hand_back_costs_its_moving_letters(tmp_path):
     """Under a budget of 3 the 4-tuple space is over the budget, so the
-    closure hands the bundle back to the list search, which fills only the
+    closure builds no mask and moves sets of tuple ids, filling only the
     nodding copies it reaches."""
     (tmp_path / "huge.nfa").write_text(HUGE_ALPHABET_BUNDLE)
     done = _capped_cli(tmp_path, "decide", "huge.nfa", budget=3)
@@ -302,6 +327,32 @@ def test_huge_alphabet_hand_back_costs_its_moving_letters(tmp_path):
     assert _capped_cli(tmp_path, "certify", "huge.nfa", "-o", "huge.cert", budget=3).returncode == 0
     done = _capped_cli(tmp_path, "verify", "huge.nfa", "huge.cert", budget=3)
     assert (done.returncode, done.stdout) == (0, "VALID pathset\n"), done.stderr
+
+
+def test_nonempty_long_chains_rebuild_from_set_layers():
+    """Two 3000-state chains final at the same end: the witness run is read
+    off 3000 base layers held as sets of tuple ids."""
+    chain = Nfa(3000, 1, tuple((q, 0, q + 1) for q in range(2999)), 0, frozenset({2999}))
+    bundle = InstanceBundle((chain, chain))
+    started = time.perf_counter()
+    decided = decide_empty(bundle)
+    assert time.perf_counter() - started < 5
+    assert _form(bundle) is set
+    assert decided == _search(builder_for("nodding", bundle))
+    assert (len(witness_word(decided)), decided.explored_states, decided.explored_transitions) == (2999, 5999, 5998)
+    assert verify_short_pathset(bundle, extract_short_pathset(bundle, decided))
+
+
+def test_nonempty_bundle_over_the_tuple_budget_rebuilds_from_set_layers():
+    """The huge-alphabet bundle made non-empty, under a budget of 3: its
+    4-tuple space is over the budget, its 3 explored states are not."""
+    bundle = parse_bundle(HUGE_ALPHABET_BUNDLE + "final 1\ntrans 0 0 1\n")
+    with _budget(3):
+        decided = decide_empty(bundle)
+        assert _form(bundle) is set
+        assert decided == _search(builder_for("nodding", _fresh(bundle)))
+    assert decided.explored_states == 3
+    assert verify_short_pathset(bundle, extract_short_pathset(bundle, decided))
 
 
 @pytest.mark.parametrize("construction", CONSTRUCTIONS)

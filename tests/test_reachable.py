@@ -6,8 +6,8 @@ acceptance corpus: ``accessible_part`` and ``accessible_stats`` for all five
 constructions, and ``extract_staggered_cut`` on the nodding product.  The
 bitmask closure behind ``accessible_stats`` on the four sparse
 constructions, ``products.close_table`` on each builder's copy table, is
-also compared with the ``reachable`` walk it hands back to: on Hypothesis
-bundles, under a forced hand-back and at the state budget's boundary.
+also compared with the ``reachable`` walk: on Hypothesis bundles, in each
+of its two forms forced, and at the state budget's boundary.
 """
 
 from collections import deque
@@ -170,18 +170,18 @@ def _outcome(call):
 def test_copy_closure_matches_the_walk_on_random_bundles(bundle):
     for construction in SPARSE:
         fresh = InstanceBundle(bundle.automata)
-        assert _closure(construction, fresh) is not None  # small spaces stay on it
         assert accessible_stats(construction, fresh) == _walk_stats(construction, bundle), construction
 
 
-def test_forced_hand_back_gives_the_same_stats(corpus, monkeypatch):
+def test_forced_forms_give_the_same_stats(corpus, monkeypatch):
+    """``products.SET_STEP_WORDS`` forces sets of tuple ids at every level
+    (0), or bitmasks from the first level that moves on (a huge value)."""
     sample = [bundle for _, bundle in corpus[::5]]
-    expected = [[accessible_stats(c, InstanceBundle(b.automata)) for c in SPARSE] for b in sample]
-    monkeypatch.setattr(products, "CLOSURE_WORDS", -1)  # trips at the first charged move
-    monkeypatch.setattr(products, "CLOSURE_WORDS_PER_STATE", 0)
-    handed_back = sum(_closure(c, b) is None for b in sample for c in SPARSE)
-    assert handed_back > len(sample) * len(SPARSE) // 2
-    assert [[accessible_stats(c, InstanceBundle(b.automata)) for c in SPARSE] for b in sample] == expected
+    expected = [[_walk_stats(c, b) for c in SPARSE] for b in sample]
+    for words, form in ((0, set), (1 << 62, int)):
+        monkeypatch.setattr(products, "SET_STEP_WORDS", words)
+        assert sum(type(_closure(c, b).met) is form for b in sample for c in SPARSE) > len(sample) * len(SPARSE) * 3 // 4
+        assert [[accessible_stats(c, InstanceBundle(b.automata)) for c in SPARSE] for b in sample] == expected
 
 
 def test_copy_closure_budget_boundary_matches_the_walk(corpus, monkeypatch):
@@ -206,15 +206,18 @@ def test_copy_closure_budget_boundary_matches_the_walk(corpus, monkeypatch):
 
 
 @pytest.mark.parametrize("n, budget", [(3000, None), (50, 2499)])
-def test_thin_parts_of_large_spaces_are_handed_back_before_the_first_move(n, budget, monkeypatch):
-    """Two 3000-state chains trip the work guard (9,000,000 tuples, under the
+def test_thin_parts_of_large_spaces_close_by_sets(n, budget, monkeypatch):
+    """Two 3000-state chains stay on sets (9,000,000 tuples, under the
     default state budget); two 50-state chains under a budget of 2499 have a
-    tuple space over it, though their accessible parts fit."""
+    tuple space over it, though their accessible parts fit, so even a forced
+    switch builds no mask."""
     bundle = chains(n)
     expected = {c: _walk_stats(c, bundle, budget) for c in SPARSE}
-    monkeypatch.setattr(products.ProductSpace, "move_counting", None)
+    if budget is not None:
+        monkeypatch.setattr(products, "SET_STEP_WORDS", 1 << 62)
+    monkeypatch.setattr(products.ProductSpace, "mask_of", None)
     for construction in SPARSE:
-        assert _closure(construction, bundle, budget) is None
+        assert type(_closure(construction, bundle, budget).met) is set
         assert accessible_stats(construction, bundle, budget) == expected[construction]
 
 
