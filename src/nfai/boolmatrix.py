@@ -11,6 +11,25 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 
+def set_bits(mask: int) -> tuple:
+    """The positions of the set bits of ``mask``, ascending.  Peeling off
+    the lowest bit passes over the whole int once per bit, so past 1024
+    bits one pass over its binary digits finds them instead."""
+    out = []
+    if mask >> 1024:
+        digits = bin(mask)[:1:-1]  # bit 0 first
+        at = digits.find("1")
+        while at >= 0:
+            out.append(at)
+            at = digits.find("1", at + 1)
+        return tuple(out)
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class BoolMatrix:
     rows: int
@@ -57,10 +76,8 @@ class BoolMatrix:
     def pairs(self):
         """Iterate set entries as (row, col), row-major."""
         for i, r in enumerate(self.row_bits):
-            while r:
-                low = r & -r
-                yield (i, low.bit_length() - 1)
-                r ^= low
+            for j in set_bits(r):
+                yield (i, j)
 
     def mul(self, other: "BoolMatrix") -> "BoolMatrix":
         """Boolean matrix product: result row i is the OR of the rows of

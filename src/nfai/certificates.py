@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Union
 
 from .automata import EPSILON, InstanceBundle, RunViolation, run_is_accepting, validate_run
-from .boolmatrix import BoolMatrix
+from .boolmatrix import BoolMatrix, set_bits
 from .decision import Decision
 from .products import ProductSpace, nodding_copy, nodding_tag
 
@@ -248,10 +248,7 @@ def build_in_out(bundle: InstanceBundle, cut: StaggeredCut) -> InOutMatrices:
         # exposed one keep their strides, those above it shrink by n
         stride, n = space.strides[exposed], space.sizes[exposed]
         rows = [0] * (space.base_size // n)
-        while mask:
-            low = mask & -mask
-            tid = low.bit_length() - 1
-            mask ^= low
+        for tid in set_bits(mask):
             high, rest = divmod(tid, stride * n)
             rows[high * stride + rest % stride] |= 1 << (rest // stride)
         return BoolMatrix(len(rows), n, tuple(rows))
@@ -308,11 +305,7 @@ def verify_staggered_cut_naive(bundle: InstanceBundle, cut: StaggeredCut) -> Ver
         for letter in range(l):
             subset = cut.set_for(p, letter)
             target = cut.set_for((p + 1) % k, letter)
-            mask = subset
-            while mask:
-                low = mask & -mask
-                tid = low.bit_length() - 1
-                mask ^= low
+            for tid in set_bits(subset):
                 q = space.component(tid, p)
                 for dst in automaton.successors(q, letter):
                     moved = tid + (dst - q) * stride

@@ -134,8 +134,9 @@ def _from_layers(bundle: InstanceBundle, closure: Closure) -> Decision:
     the witness run.  Sets co-reachable from the final tuples, computed
     backwards, let W be taken greedily forwards; the same forward pass
     collects the tuples of least word below W, and a walk along W alone
-    fixes the run and the tuples below it.  Raises BudgetExceeded when
-    ``_search`` would.
+    fixes the run and the tuples below it.  A shortest run passes through
+    each layer in turn, so every base set is cut to its layer.  Raises
+    BudgetExceeded when ``_search`` would.
     """
     prepared = bundle.prepared
     space, letters, layers = prepared.space, prepared.letters, closure.layers
@@ -158,13 +159,14 @@ def _from_layers(bundle: InstanceBundle, closure: Closure) -> Decision:
             tuples = space.move(tuples, i, inverse[a][i])
         return tuples
 
-    # coreach[d]: the tuples that some word of length last - d leads to a
-    # final tuple of the last layer; those of layer d are all it is met with
+    # coreach[d]: the tuples of layer d that some word of length last - d
+    # leads to a final tuple of the last layer
     coreach = [None] * last + [closure.met]
     for d in range(last - 1, 0, -1):
         coreach[d] = empty()
         for a in moving:
             coreach[d] |= back(coreach[d + 1], a)
+        coreach[d] &= layers[d]
     # reach: the tuples of layer d that the least word's prefix reaches;
     # below: those whose least word is below that prefix
     word, reach, below = [], layers[0], empty()
@@ -187,6 +189,8 @@ def _from_layers(bundle: InstanceBundle, closure: Closure) -> Decision:
     for t in range(len(steps) - 1, -1, -1):
         i, a = steps[t]
         live[t] = space.move(live[t + 1], i, inverse[a][i])
+        if i == 0:
+            live[t] &= layers[t // k]
     base_size = space.base_size
 
     def sid(t: int, tid: int) -> int:
@@ -197,7 +201,7 @@ def _from_layers(bundle: InstanceBundle, closure: Closure) -> Decision:
     run, earlier, tid = [], empty(), prepared.initial
     for t, (i, a) in enumerate(steps):
         targets = letters[i][a]
-        earlier = space.move(earlier, i, targets)
+        earlier = space.move(earlier, i, targets) if earlier else earlier
         stride = space.strides[i]
         q = tid // stride % space.sizes[i]
         for state in targets[q]:  # ascending, so their tuples ascend too
@@ -205,6 +209,8 @@ def _from_layers(bundle: InstanceBundle, closure: Closure) -> Decision:
             if live[t + 1] & space.single(dst, earlier):
                 break
             earlier |= space.single(dst, earlier)
+        if i == k - 1:
+            earlier &= layers[(t + 1) // k]
         run.append((sid(t, tid), EPSILON if i else a, sid(t + 1, dst)))
         tid = dst
     explored = closure.states + space.count(below | earlier & layers[last]) + 1

@@ -27,7 +27,8 @@ Every sparse construction is also explored a level at a time by one loop,
 ``close_table``, with one seen set per copy.  While the levels are thin it
 holds each set of reached tuples as a Python set of tuple ids, moved member
 by member; once they are dense, as one bitmask over the tuple space, moved
-through a volley in one masked-shift pass.  On a builder's table it gives
+through a volley in one masked-shift pass, until the masks have cost more
+than sets would have.  On a builder's table it gives
 the accessible sizes and finality behind ``accessible_stats``.  On the
 nodding table of the prepared bundle, stopped at the first base layer that
 meets a final tuple, a single forward pass decides both outcomes: it counts
@@ -50,6 +51,7 @@ from functools import cached_property, partial
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .automata import EPSILON, EpsilonNfa, InstanceBundle, Nfa
+from .boolmatrix import set_bits
 
 CONSTRUCTIONS = ("direct", "nodding", "echoing", "catchup", "leapfrog")
 
@@ -163,25 +165,25 @@ class ProductSpace:
         return moved
 
     def move_counting(self, tuples, i: int, targets: Dict[int, Sequence[int]]) -> tuple:
-        """:meth:`move` plus the number of single moves it stands for: the
-        members of each column times the column state's successor count."""
+        """:meth:`move` plus the number of single moves it stands for (the
+        members of each column times the column state's successor count)
+        and, on a mask, its passes over the tuple space: one per column taken
+        and one per successor of each column that has members."""
         stride = self.strides[i]
         moved = count = 0
         if isinstance(tuples, set):  # member by member
-            moved, n = set(), self.sizes[i]
-            for tid in tuples:
-                if (q := tid // stride % n) in targets:
-                    count += len(targets[q])
-                    moved.update(tid + (d - q) * stride for d in targets[q])
-            return moved, count
-        zero = self.zero_masks[i]
+            n = self.sizes[i]
+            moves = [tid + (d - q) * stride for tid in tuples if (q := tid // stride % n) in targets for d in targets[q]]
+            return set(moves), len(moves), 0
+        zero, passes = self.zero_masks[i], len(targets)
         for q, dsts in targets.items():
             column = (tuples >> (q * stride)) & zero
             if column:
                 count += column.bit_count() * len(dsts)
+                passes += len(dsts)
                 for d in dsts:
                     moved |= column << (d * stride)
-        return moved, count
+        return moved, count, passes
 
     def first_entry(self, mask: int, i: int) -> Tuple[int, int]:
         """The first member of the non-empty set ``mask`` in row-major order
@@ -214,8 +216,9 @@ class ProductSpace:
         """The members of ``tuples`` with each component i in ``choices[i]``."""
         if not isinstance(tuples, set):
             return tuples & self.product_mask(choices)
-        return {tid for tid in tuples
-                if all(tid // stride % n in allowed for stride, n, allowed in zip(self.strides, self.sizes, choices))}
+        for stride, n, allowed in zip(self.strides, self.sizes, choices):
+            tuples = {tid for tid in tuples if tid // stride % n in allowed}
+        return tuples
 
     def mask_of(self, tuples) -> int:
         """The mask of ``tuples``, a mask or a set of tuple ids.  Fewer than 16
@@ -232,6 +235,11 @@ class ProductSpace:
         for tid in tuples:
             data[tid >> 3] |= 1 << (tid & 7)
         return int.from_bytes(data, "little")
+
+    @staticmethod
+    def ids_of(tuples) -> set:
+        """The set of tuple ids of ``tuples``, a set or a mask."""
+        return tuples if isinstance(tuples, set) else set(set_bits(tuples))
 
 
 def _repeat(block: int, period: int, count: int) -> int:
@@ -321,7 +329,7 @@ def _word_relations(letters: tuple, max_len: int) -> WordRelations:
     bit = (1).__lshift__  # bit(d) == 1 << d; distinct bits sum to their OR
     first = [intern({})] * len(letters)  # the empty relation is 0
     moving = [(s, moves) for s, moves in enumerate(letters) if moves]
-    lists = _Table(lambda r: {q: _bits(row) for q, row in rows_of[r].items()})
+    lists = _Table(lambda r: {q: set_bits(row) for q, row in rows_of[r].items()})
     for s, moves in moving:
         first[s] = intern({q: sum(map(bit, dsts)) for q, dsts in moves.items()})
         lists[first[s]] = moves
@@ -371,16 +379,6 @@ def m_leq_k(bundle: InstanceBundle) -> int:
     pairs = (sum(map(int.bit_count, rows.values()))
              for relations in bundle.prepared.relations for rows in relations.rows)
     return max(bundle.max_states, max(pairs, default=0))
-
-
-def _bits(row: int) -> tuple:
-    """The positions of the set bits of ``row``, ascending."""
-    out = []
-    while row:
-        low = row & -row
-        out.append(low.bit_length() - 1)
-        row ^= low
-    return tuple(out)
 
 
 class _Table(dict):
@@ -449,6 +447,15 @@ class PreparedBundle:
 #: 192 give the same levels and times but for two parity-split instances; at
 #: 64 the sparse k=4 clique switches too late to pay for the conversion (5.2
 #: against 3.9 ms), at 32 the dense k=4 clique (18 against 12 ms).
+#:
+#: The way back prices a set step at four times this many words: a step per
+#: move and eight per member.  A closure held as masks adds up each level's
+#: passes over the tuple space, in words, less that price of its set steps,
+#: never going below 0, and returns to sets for good once the sum exceeds
+#: that price per state counted.  No benchmark instance of seeds 7, 8601 and
+#: 8602 returns; at half the price the sparse k=4 clique would, and at twice
+#: it a complete 200-state block leading into a 60-state chain would keep
+#: masks to the end (34 against 6.3 s to decide).
 SET_STEP_WORDS = 128
 
 
@@ -473,7 +480,8 @@ class Closure:
     transitions: int
 
 
-def close_table(table, prepared: "PreparedBundle", limit: int, name: str, stop: bool = False) -> Closure:
+def close_table(table, prepared: "PreparedBundle", limit: int, name: str,
+                stop: bool = False) -> Closure:
     """Close a copy table from the initial tuple in copy 0, one level at a
     time.  ``table[t]`` lists the volleys leaving copy t as ``(component,
     lists, label, next copy)``, as ``ProductBuilder.moves`` does.  In each
@@ -484,18 +492,21 @@ def close_table(table, prepared: "PreparedBundle", limit: int, name: str, stop: 
     meets a final tuple.
 
     Fronts, seen sets and layers start as sets of tuple ids.  At the start
-    of a level they all become bitmasks, for good, once sets would cost more
-    (``SET_STEP_WORDS``), unless the tuple space exceeds ``limit``: then no
-    mask is built.  Raises BudgetExceeded for the construction ``name`` at
-    the end of a level, the stop level excepted, once the counted states
-    exceed ``limit``, the initial state alone excepted.
+    of a level they all become bitmasks once sets would cost more, and back
+    to sets for good once masks have cost too much (``SET_STEP_WORDS``); the
+    layers end in the closure's last form.  A tuple space over ``limit``
+    stays on sets, so no mask over it is built.  Raises BudgetExceeded for
+    the construction ``name`` at the end of a level, the stop level
+    excepted, once the counted states exceed ``limit``, the initial state
+    alone excepted.
     """
     space = prepared.space
     words = (space.base_size + 63) // 64
     finals = [a.finals for a in prepared.automata]
     seen, fronts, met = {0: {prepared.initial}}, {0: {prepared.initial}}, set()
     layers = [fronts[0]]
-    dense, states, transitions = False, 0, 0
+    dense, states, transitions, excess, passes = False, 0, 0, 0, 0
+    switchable = space.base_size <= limit
     last = (1, 0)  # the last level's members, and the moves counted before it
     while fronts:
         if stop and 0 in fronts:
@@ -506,20 +517,29 @@ def close_table(table, prepared: "PreparedBundle", limit: int, name: str, stop: 
         states += members
         if states > max(limit, 1):  # the initial state alone is never refused
             raise BudgetExceeded.exploring(name, limit)
-        if not dense and space.base_size <= limit:
-            columns = sum(len(lists) for t in fronts for _, lists, _, _ in table[t])
-            dense = 0 < columns * words * last[0] < members * (last[0] + transitions - last[1]) * SET_STEP_WORDS
-            if dense:
-                fronts = {t: space.mask_of(tuples) for t, tuples in fronts.items()}
-                seen = {t: space.mask_of(tuples) for t, tuples in seen.items()}
-                layers, met = list(map(space.mask_of, layers)), 0
+        if switchable:
+            if dense:  # the last level's passes, less the price of its set steps
+                step = 4 * SET_STEP_WORDS
+                excess = max(0, excess + passes * words - step * (8 * last[0] + transitions - last[1]))
+                switch = excess > step * states
+            else:
+                price = members * (last[0] + transitions - last[1]) * SET_STEP_WORDS  # of sets, times last[0]
+                switch = words * last[0] < price and 0 < sum(
+                    len(lists) for t in fronts for _, lists, _, _ in table[t]) * words * last[0] < price
+            if switch:
+                dense = switchable = not dense  # back on sets, for good
+                form = space.mask_of if dense else space.ids_of
+                fronts = {t: form(tuples) for t, tuples in fronts.items()}
+                seen = {t: form(tuples) for t, tuples in seen.items()}
         last = (members, transitions)
         landed: dict = {}
+        passes = 0
         for t, front in fronts.items():
             for component, lists, _, nxt in table[t]:
                 if lists:
-                    moved, moves = space.move_counting(front, component, lists)
+                    moved, moves, cost = space.move_counting(front, component, lists)
                     transitions += moves
+                    passes += cost
                     if nxt in landed:
                         landed[nxt] |= moved
                     elif moved:
@@ -533,7 +553,8 @@ def close_table(table, prepared: "PreparedBundle", limit: int, name: str, stop: 
                 seen[t], fronts[t] = old, fresh
         if 0 in fronts:
             layers.append(fronts[0])
-    return Closure(tuple(layers), seen, met, states, transitions)
+    form = space.mask_of if dense else space.ids_of
+    return Closure(tuple(map(form, layers)), seen, form(met), states, transitions)
 
 
 class ProductBuilder:

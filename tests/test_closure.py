@@ -4,7 +4,8 @@
 reference walk ``helpers.cut_by_walk`` for every cut subset, and both for
 the state budget.  Its two forms, sets of tuple ids and bitmasks, are each
 forced through ``products.SET_STEP_WORDS`` and checked on bundles whose tuple
-space is far larger than their accessible part and on dense cliques.  The
+space is far larger than their accessible part and on dense cliques; a dense
+block leading into a thin chain checks the way back from masks to sets.  The
 same loop behind ``accessible_stats`` counts what the decision counts.
 """
 
@@ -254,6 +255,51 @@ def test_dense_cliques_close_by_masks(monkeypatch):
     assert _form(probe) is set
 
 
+def _block_then_chain(block, chain, finals):
+    """One-letter automata, one per final set in ``finals``, each a complete
+    ``block``-state block whose last state starts a ``chain``-state chain."""
+    n = block + chain
+    moves = tuple((p, 0, q) for p in range(block) for q in range(block))
+    moves += tuple((q, 0, q + 1) for q in range(block - 1, n - 1))
+    return InstanceBundle(tuple(Nfa(n, 1, moves, 0, frozenset(f)) for f in finals))
+
+
+def _spy_switches(monkeypatch):
+    """A list that grows each time a set of tuple ids is read into a mask."""
+    switched = []
+    mask_of = products.ProductSpace.mask_of
+    monkeypatch.setattr(products.ProductSpace, "mask_of",
+                        lambda space, tuples: switched.append(isinstance(tuples, set)) or mask_of(space, tuples))
+    return switched
+
+
+def test_thin_levels_after_a_dense_block_go_back_to_sets(monkeypatch):
+    """Finals at the chains' last and next-to-last states.  The blocks'
+    levels are dense and switch the closure to masks; the chains' 600 levels
+    are thin, and by masks each would pass over the 108,900-tuple space once
+    per successor of each block state in its front (about 5 s in all on a
+    2-vCPU VM, against 0.8 s for the list search), so the closure goes back
+    to sets."""
+    bundle = _block_then_chain(30, 300, [{329}, {328}])
+    switched = _spy_switches(monkeypatch)
+    started = time.perf_counter()
+    decided = decide_empty(bundle)
+    assert time.perf_counter() - started < 3
+    assert any(switched) and _form(bundle) is set
+    assert decided == _search(builder_for("nodding", bundle))
+    assert verify_short_pathset(bundle, extract_short_pathset(bundle, decided))
+
+
+def test_the_way_back_to_sets_keeps_counts_and_cuts(monkeypatch):
+    """Made empty, with no final state in the second automaton, a smaller
+    pair closes its whole accessible part, goes back to sets on the way, and
+    counts and cuts what the list engines do."""
+    bundle = _block_then_chain(20, 200, [{219}, set()])
+    switched = _spy_switches(monkeypatch)
+    assert _form(bundle) is set and any(switched)
+    assert _check_against_list_engines(bundle)
+
+
 def test_short_chains_close_alike_in_either_form(monkeypatch):
     expected = _search(builder_for("nodding", chains(50)))
     for words, form in ((products.SET_STEP_WORDS, set), (ALL_SETS, set), (ALL_MASKS, int)):
@@ -340,6 +386,23 @@ def test_nonempty_long_chains_rebuild_from_set_layers():
     assert _form(bundle) is set
     assert decided == _search(builder_for("nodding", bundle))
     assert (len(witness_word(decided)), decided.explored_states, decided.explored_transitions) == (2999, 5999, 5998)
+    assert verify_short_pathset(bundle, extract_short_pathset(bundle, decided))
+
+
+def test_witness_into_a_dense_block_rebuilds_from_set_layers():
+    """A 300-state chain whose end enters a complete 60-state block, finals
+    two apart: the witness is rebuilt from sets of tuple ids.  Each backward
+    and forward set is cut to the layer it belongs to, since a shortest run
+    passes through each layer in turn; uncut, the co-reachable sets would
+    spread over the block at every layer back to the start."""
+    n = 360
+    moves = tuple((q, 0, q + 1) for q in range(300)) + tuple((p, 0, q) for p in range(300, n) for q in range(300, n))
+    bundle = InstanceBundle(tuple(Nfa(n, 1, moves, 0, frozenset({final})) for final in (n - 1, n - 3)))
+    started = time.perf_counter()
+    decided = decide_empty(bundle)
+    assert time.perf_counter() - started < 2
+    assert _form(bundle) is set
+    assert decided == _search(builder_for("nodding", bundle))
     assert verify_short_pathset(bundle, extract_short_pathset(bundle, decided))
 
 
