@@ -40,6 +40,7 @@ from typing import List, Optional, Union
 from .automata import EPSILON, InstanceBundle, RunViolation, run_is_accepting, validate_run
 from .boolmatrix import BoolMatrix, set_bits
 from .decision import Decision
+from .fileformat import FormatError, _strip, fields, once
 from .products import ProductSpace, nodding_copy, nodding_tag
 
 CERT_MAGIC = "nfa-cert v1"
@@ -390,7 +391,7 @@ def _certificate_lines(text: str):
                 continue
         for raw in text[start:end + 1].splitlines():
             no += 1
-            line = raw.split("#", 1)[0].strip()
+            line = _strip(raw)
             if line:
                 yield no, line, None
         start = end + 1
@@ -400,25 +401,6 @@ def parse_certificate(text: str) -> Union[ShortPathset, StaggeredCut]:
     """Read a certificate file in one pass.  Malformed, repeated or
     out-of-range lines raise ``FormatError`` with their line number; the
     checks that need the whole file report its last non-empty line."""
-    from .fileformat import FormatError
-
-    def fields(no: int, parts: List[str], usage: str, count: Optional[int] = None, last=int) -> list:
-        """The fields after a directive, ``count`` of them unless None;
-        ``last`` converts the final one, ``int`` the others."""
-        args = parts[1:]
-        if count is None or len(args) == count:
-            try:
-                return [int(x) for x in args[:-1]] + [last(x) for x in args[-1:]]
-            except ValueError:
-                pass
-        raise FormatError(f"{parts[0]!r} takes {usage}", no)
-
-    def once(old, no: int, parts: List[str], new):
-        """``new``, unless an earlier ``parts[0]`` line already gave ``old``."""
-        if old is not None:
-            raise FormatError(f"duplicate {parts[0]!r} line", no)
-        return new
-
     lines = _certificate_lines(text)
     if next(lines, (1, None, None))[1] != CERT_MAGIC:
         raise FormatError(f"expected magic line {CERT_MAGIC!r}", 1)

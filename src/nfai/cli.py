@@ -141,6 +141,10 @@ def cmd_gen(args) -> int:
 
 def cmd_oracle(args) -> int:
     bundle = _load_bundle(args.bundle)
+    # the oracle keeps n masks of n bits and l * n letter slots per component
+    limit = products.state_budget()
+    if (cells := max(a.n_states * (a.n_states + a.n_letters) for a in bundle.automata)) > limit:
+        raise products.BudgetExceeded(f"oracle tables need {cells} cells, over the state budget of {limit}")
     witness = oracle.bounded_intersection_witness(bundle, args.max_len)
     if witness is None:
         print("NONE")

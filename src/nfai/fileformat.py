@@ -12,13 +12,19 @@ One automaton per file, or several separated by ``---`` lines::
 A ``dfa`` header additionally validates determinism (at most one outgoing
 transition per state and letter).  Multi-tape automata use an ``mtnfa``
 header, a ``tapes k`` line, and ``trans src letter tape dst`` lines.
-``#`` starts a comment; blank lines are ignored.  Duplicate transitions are
-silently dropped (the transition relation is a set).
+``#`` starts a comment; blank lines are ignored.  Each declaration
+(``states``, ``alphabet``, ``tapes``, ``letters``, ``initial``, ``final``)
+appears at most once per block; a repeated one is refused at its line.
+Duplicate transitions are silently dropped (the transition relation is a
+set).
+
+The graph and certificate readers share this module's comment strip and
+field reader, so the three untrusted formats read a directive line alike.
 """
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import List, Optional, Union
 
 from .automata import EPSILON, EpsilonNfa, InstanceBundle, Nfa
 from .relations import MultiTapeAutomaton
@@ -37,7 +43,28 @@ class FormatError(ValueError):
 
 
 def _strip(line: str) -> str:
+    """``line`` without its ``#`` comment and surrounding whitespace."""
     return line.split("#", 1)[0].strip()
+
+
+def fields(no: int, parts: List[str], usage: str, count: Optional[int] = None, last=int) -> list:
+    """The fields after the directive ``parts[0]`` on line ``no``, ``count``
+    of them unless None; ``last`` converts the final one, ``int`` the
+    others.  Any other line is refused as ``'<directive>' takes <usage>``."""
+    args = parts[1:]
+    if count is None or len(args) == count:
+        try:
+            return [int(x) for x in args[:-1]] + [last(x) for x in args[-1:]]
+        except ValueError:
+            pass
+    raise FormatError(f"{parts[0]!r} takes {usage}", no)
+
+
+def once(old, no: int, parts: List[str], new):
+    """``new``, unless an earlier ``parts[0]`` line already gave ``old``."""
+    if old is not None:
+        raise FormatError(f"duplicate {parts[0]!r} line", no)
+    return new
 
 
 class _BlockParser:
@@ -60,11 +87,11 @@ class _BlockParser:
                     raise FormatError(f"expected a header ({', '.join(HEADERS)}), got {line!r}", no)
                 self.header = line
                 continue
-            fields = line.split()
-            handler = getattr(self, "_dir_" + fields[0], None)
+            parts = line.split()
+            handler = getattr(self, "_dir_" + parts[0], None)
             if handler is None:
-                raise FormatError(f"unknown directive {fields[0]!r}", no)
-            handler(fields[1:], no)
+                raise FormatError(f"unknown directive {parts[0]!r}", no)
+            handler(parts, no)
         return self._finish()
 
     def _int(self, text: str, no: int) -> int:
@@ -98,71 +125,55 @@ class _BlockParser:
             raise FormatError(f"letter {letter} out of declared range [0, {self.n_letters})", no)
         return letter
 
-    def _dir_states(self, args, no):
-        if len(args) != 1:
-            raise FormatError("'states' takes one count", no)
-        self.n_states = self._int(args[0], no)
+    def _dir_states(self, parts, no):
+        self.n_states = once(self.n_states, no, parts, fields(no, parts, "one count", 1)[0])
 
-    def _dir_alphabet(self, args, no):
-        # optional "tagged k=<k>" suffix marks alphabets of (letter, tape)
-        # pairs produced by the relation-satisfaction reduction; the letters
-        # are ordinary indices either way, so the annotation is descriptive
-        if len(args) == 3 and args[1] == "tagged" and args[2].startswith("k="):
-            tag_count = self._int(args[2][2:], no)
-            count = self._int(args[0], no)
-            if tag_count < 1 or count % tag_count != 0:
-                raise FormatError(f"alphabet size {count} is not a multiple of the tag count", no)
-            self.n_letters = count
-            return
-        if len(args) != 1:
-            raise FormatError("'alphabet' takes one count", no)
-        self.n_letters = self._int(args[0], no)
+    def _dir_alphabet(self, parts, no):
+        self.n_letters = once(self.n_letters, no, parts, fields(no, parts, "one count", 1)[0])
 
-    def _dir_tapes(self, args, no):
+    def _dir_tapes(self, parts, no):
         if self.header != "mtnfa":
             raise FormatError("'tapes' is only valid under an 'mtnfa' header", no)
-        if len(args) != 1:
-            raise FormatError("'tapes' takes one count", no)
-        self.n_tapes = self._int(args[0], no)
+        self.n_tapes = once(self.n_tapes, no, parts, fields(no, parts, "one count", 1)[0])
 
-    def _dir_letters(self, args, no):
+    def _dir_letters(self, parts, no):
+        args = parts[1:]  # names, not integers, so their count is checked here
         if self.n_letters is None:
             raise FormatError("'letters' must come after 'alphabet'", no)
         if len(args) != self.n_letters:
             raise FormatError(f"name table has {len(args)} entries, alphabet declares {self.n_letters}", no)
-        self.letter_names = {name: i for i, name in enumerate(args)}
+        self.letter_names = once(self.letter_names, no, parts, {name: i for i, name in enumerate(args)})
         if len(self.letter_names) != len(args):
             raise FormatError("duplicate letter name", no)
 
-    def _dir_initial(self, args, no):
-        if len(args) != 1:
-            raise FormatError("'initial' takes one state", no)
-        self.initial = self._state(args[0], no)
+    def _dir_initial(self, parts, no):
+        self.initial = once(self.initial, no, parts, self._state(fields(no, parts, "one state", 1)[0], no))
 
-    def _dir_final(self, args, no):
-        self.finals = frozenset(self._state(arg, no) for arg in args)
+    def _dir_final(self, parts, no):
+        states = fields(no, parts, "states")
+        self.finals = once(self.finals, no, parts, frozenset(self._state(q, no) for q in states))
 
-    def _dir_trans(self, args, no):
+    def _dir_trans(self, parts, no):
         want = 4 if self.header == "mtnfa" else 3
-        if len(args) != want:
+        if len(parts) != want + 1:
             raise FormatError(f"'trans' takes {want} fields under a {self.header!r} header", no)
-        src = self._state(args[0], no)
-        letter = self._letter(args[1], no)
+        src = self._state(parts[1], no)
+        letter = self._letter(parts[2], no)
         if self.header == "mtnfa":
             if self.n_tapes is None:
                 raise FormatError("'trans' before 'tapes' declaration", no)
-            tape = self._int(args[2], no)
+            tape = self._int(parts[3], no)
             if not (0 <= tape < self.n_tapes):
                 raise FormatError(f"tape {tape} out of declared range [0, {self.n_tapes})", no)
-            dst = self._state(args[3], no)
+            dst = self._state(parts[4], no)
             self.transitions.append((src, letter, tape, dst))
             return
-        dst = self._state(args[2], no)
+        dst = self._state(parts[3], no)
         if self.header == "dfa":
             prev = self.dfa_targets.setdefault((src, letter), dst)
             if prev != dst:
                 raise FormatError(
-                    f"nondeterministic: state {src} already maps letter {args[1]} to {prev}", no
+                    f"nondeterministic: state {src} already maps letter {parts[2]} to {prev}", no
                 )
         self.transitions.append((src, letter, dst))
 
@@ -232,12 +243,8 @@ def parse_bundle(text: str) -> InstanceBundle:
     return InstanceBundle(tuple(docs))
 
 
-def serialize_automaton(a: Parsed, header: str = None, tagged_k: int = None) -> str:
-    """Render an automaton in the text format; round-trips structurally.
-
-    ``tagged_k`` annotates the alphabet line of automata over (letter, tape)
-    pair alphabets, as emitted by the relation-satisfaction reduction.
-    """
+def serialize_automaton(a: Parsed, header: str = None) -> str:
+    """Render an automaton in the text format; round-trips structurally."""
     if header is None:
         if isinstance(a, MultiTapeAutomaton):
             header = "mtnfa"
@@ -245,10 +252,7 @@ def serialize_automaton(a: Parsed, header: str = None, tagged_k: int = None) -> 
             header = "enfa"
         else:
             header = "nfa"
-    alphabet_line = f"alphabet {a.n_letters}"
-    if tagged_k is not None:
-        alphabet_line += f" tagged k={tagged_k}"
-    lines = [header, f"states {a.n_states}", alphabet_line]
+    lines = [header, f"states {a.n_states}", f"alphabet {a.n_letters}"]
     if header == "mtnfa":
         lines.append(f"tapes {a.n_tapes}")
     lines.append(f"initial {a.initial}")

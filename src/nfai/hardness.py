@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import List
 
 from .automata import InstanceBundle, Nfa
+from .fileformat import FormatError, _strip, fields, once
 from .products import state_budget
 
 
@@ -144,28 +145,15 @@ def parse_graph(text: str) -> UndirectedGraph:
     """Graph text format: first line ``graph n``, then ``edge u v`` lines.
     A vertex count over ``state_budget()`` is refused at its line, before
     the reduction allocates per vertex."""
-    from .fileformat import FormatError
-
-    def ints(no: int, parts: list, usage: str, count: int) -> list:
-        """The ``count`` integer fields after a directive."""
-        if len(parts) == count + 1:
-            try:
-                return [int(x) for x in parts[1:]]
-            except ValueError:
-                pass
-        raise FormatError(f"{parts[0]!r} takes {usage}", no)
-
     n = None
     edges = []
     for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _strip(raw)
         if not line:
             continue
         parts = line.split()
         if parts[0] == "graph":
-            if n is not None:
-                raise FormatError("duplicate 'graph' line", no)
-            (n,) = ints(no, parts, "one vertex count", 1)
+            n = once(n, no, parts, fields(no, parts, "one vertex count", 1)[0])
             if n < 0:
                 raise FormatError(f"negative vertex count {n}", no)
             if n > (limit := state_budget()):
@@ -173,7 +161,7 @@ def parse_graph(text: str) -> UndirectedGraph:
         elif parts[0] == "edge":
             if n is None:
                 raise FormatError("'edge' before 'graph' line", no)
-            u, v = ints(no, parts, "two vertices", 2)
+            u, v = fields(no, parts, "two vertices", 2)
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise FormatError(f"bad edge ({u}, {v})", no)
             edges.append((u, v))

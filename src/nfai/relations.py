@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .automata import InstanceBundle, Nfa
+from .products import BudgetExceeded, state_budget
 
 
 @dataclass(frozen=True)
@@ -131,6 +132,8 @@ def ie_to_rs(bundle: InstanceBundle) -> Tuple[InstanceBundle, MultiTapeAutomaton
     k = bundle.k - 1
     last = bundle.automata[-1]
     n, l = last.n_states, last.n_letters
+    if (copies := (k - 1) * l * n) > (limit := state_budget()):
+        raise BudgetExceeded(f"relation needs {copies} tagged states, over the state budget of {limit}")
     # base copy: state q -> q; tagged copy (q, letter, i) for i in [1, k-1]
     def tagged(q, letter, i):
         return n + (((i - 1) * l) + letter) * n + q
@@ -176,6 +179,8 @@ def rs_to_ie(bundle: InstanceBundle, c: MultiTapeAutomaton) -> InstanceBundle:
     if c.n_letters != bundle.n_letters:
         raise ValueError("relation and bundle use different alphabets")
     l = bundle.n_letters
+    if (loops := sum(a.n_states for a in bundle.automata) * l * (k - 1)) > (limit := state_budget()):
+        raise BudgetExceeded(f"components need {loops} tagged self-loops, over the state budget of {limit}")
     tagged_size = l * k
     components: List[Nfa] = []
     for i, a in enumerate(bundle.automata):

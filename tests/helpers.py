@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import nfai
 from nfai.automata import InstanceBundle, Nfa, accepts
 from nfai.certificates import CERT_MAGIC, ShortPathset, StaggeredCut
 from nfai.fileformat import FormatError
@@ -335,3 +341,22 @@ def rs_satisfiable_brute_force(
                 if multitape_accepts(c, list(words)):
                     return True
     return False
+
+
+def capped_cli(cwd, *args, budget=1000):
+    """``nfai *args`` in a child process with NFAI_STATE_BUDGET=``budget``,
+    a 10 s timeout and about 1 GB of address space, so a run that allocates
+    per declared state or letter fails there, not in the test process; the
+    run must not end in a traceback."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(nfai.__file__).resolve().parents[1])
+    env = dict(os.environ, NFAI_STATE_BUDGET=str(budget),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from nfai.cli import main; sys.exit(main())", *args],
+        cwd=cwd, env=env, preexec_fn=cap, capture_output=True, text=True, timeout=10,
+    )
+    assert "Traceback" not in done.stderr, done.stderr
+    return done

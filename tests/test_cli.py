@@ -1,12 +1,5 @@
-import os
-import resource
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-import nfai
 from nfai.automata import InstanceBundle, Nfa
 from nfai.cli import main
 from nfai.fileformat import parse_automaton, parse_bundle, serialize_bundle
@@ -15,7 +8,7 @@ from nfai.products import DEFAULT_STATE_BUDGET
 from nfai.relations import equality_relation
 from nfai.fileformat import serialize_automaton
 
-from helpers import example_clique_graph
+from helpers import capped_cli, example_clique_graph
 
 
 @pytest.fixture
@@ -340,23 +333,6 @@ HOSTILE_BUNDLE = (
 )
 
 
-def _run_capped(args, cwd, budget=1000):
-    """Run ``nfai`` in a child process with NFAI_STATE_BUDGET=``budget``, a
-    10 s timeout and about 1 GB of address space, so a run that tries to
-    allocate per declared state fails there, not in the test process."""
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    src = str(Path(nfai.__file__).resolve().parents[1])
-    env = dict(os.environ, NFAI_STATE_BUDGET=str(budget),
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-c", "import sys; from nfai.cli import main; sys.exit(main())", *args],
-        cwd=cwd, env=env, preexec_fn=cap, capture_output=True, text=True, timeout=10,
-    )
-
-
 @pytest.mark.parametrize("args, code, message", [
     (["decide", "hostile.nfa"], 1, "explored_states=2"),
     (["certify", "hostile.nfa", "-o", "hostile.cert"], 2, "cut tuple space has 6000000 tuples"),
@@ -366,16 +342,36 @@ def _run_capped(args, cwd, budget=1000):
 ])
 def test_hostile_bundle_costs_its_transitions(tmp_path, args, code, message):
     (tmp_path / "hostile.nfa").write_text(HOSTILE_BUNDLE)
-    done = _run_capped(args, tmp_path)
+    done = capped_cli(tmp_path, *args)
     assert (done.returncode, "Traceback" in done.stderr) == (code, False), done.stderr
     assert message in done.stderr
+
+
+@pytest.mark.parametrize("args", [["rs", "hostile.nfa", "--equality"], ["oracle", "hostile.nfa", "--max-len", "4"]])
+def test_hostile_bundle_refused_before_per_state_tables(tmp_path, args):
+    # rs would add 60,000,000 tagged self-loops, and the oracle keep
+    # 3,000,000 masks of up to 3,000,000 bits
+    (tmp_path / "hostile.nfa").write_text(HOSTILE_BUNDLE)
+    done = capped_cli(tmp_path, *args)
+    assert done.returncode == 2, done.stderr
+    assert "over the state budget" in done.stderr
+
+
+def test_repeated_final_line_is_refused_at_its_line(tmp_path, capsys):
+    # counted once each, the two 'final' lines would make 0 a shared word;
+    # keeping only the last would answer EMPTY
+    path = tmp_path / "twice.nfa"
+    path.write_text("nfa\nstates 2\nalphabet 1\ninitial 0\nfinal 1\nfinal 0\ntrans 0 0 1\n---\n"
+                    "nfa\nstates 2\nalphabet 1\ninitial 0\nfinal 1\ntrans 0 0 1\n")
+    assert main(["decide", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 6: duplicate 'final' line\n"
 
 
 def test_random_graph_refused_by_its_expected_edges(tmp_path):
     # 30,000 vertices are within the default budget, but about 225 M
     # expected edges are not: refused before the graph is drawn
-    done = _run_capped(["gen", "clique", "--graph", "random:30000,0.5,1", "--k", "4", "-o", "big.nfa"],
-                       tmp_path, budget=DEFAULT_STATE_BUDGET)
+    done = capped_cli(tmp_path, "gen", "clique", "--graph", "random:30000,0.5,1", "--k", "4", "-o", "big.nfa",
+                      budget=DEFAULT_STATE_BUDGET)
     assert (done.returncode, "Traceback" in done.stderr) == (2, False), done.stderr
     assert done.stderr == "error: random graph expects 224992500 edges, over the state budget of 10000000\n"
     assert not (tmp_path / "big.nfa").exists()

@@ -10,17 +10,12 @@ same loop behind ``accessible_stats`` counts what the decision counts.
 """
 
 import os
-import resource
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-import nfai
 from nfai import products
 from nfai.automata import InstanceBundle, Nfa
 from nfai.certificates import extract_short_pathset, extract_staggered_cut, verify_short_pathset
@@ -29,7 +24,7 @@ from nfai.fileformat import parse_bundle
 from nfai.hardness import clique_bundle, random_graph
 from nfai.products import CONSTRUCTIONS, BudgetExceeded, accessible_stats, builder_for
 
-from helpers import acceptance_corpus, bundles, chains, cut_by_walk
+from helpers import acceptance_corpus, bundles, capped_cli, chains, cut_by_walk
 
 #: ``products.SET_STEP_WORDS`` values that force sets of tuple ids at every
 #: level, and bitmasks from the first level that moves, where the tuple space
@@ -320,27 +315,9 @@ HUGE_ALPHABET_BUNDLE = (
 )
 
 
-def _capped_cli(cwd, *args, budget=1000):
-    """``nfai *args`` in a child process with NFAI_STATE_BUDGET=``budget``
-    and about 1 GB of address space, so a run that allocates per letter
-    fails there."""
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    src = str(Path(nfai.__file__).resolve().parents[1])
-    env = dict(os.environ, NFAI_STATE_BUDGET=str(budget),
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys; from nfai.cli import main; sys.exit(main())", *args],
-        cwd=cwd, env=env, preexec_fn=cap, capture_output=True, text=True, timeout=10,
-    )
-    assert "Traceback" not in done.stderr, done.stderr
-    return done
-
-
 def test_huge_alphabet_decide_costs_its_moving_letters(tmp_path):
     (tmp_path / "huge.nfa").write_text(HUGE_ALPHABET_BUNDLE)
-    done = _capped_cli(tmp_path, "decide", "huge.nfa")
+    done = capped_cli(tmp_path, "decide", "huge.nfa")
     assert done.returncode == 1, done.stderr
     assert done.stdout == "EMPTY\n"
     assert "explored_states=2 explored_transitions=1" in done.stderr
@@ -350,11 +327,11 @@ def test_huge_alphabet_witness_costs_its_moving_letters(tmp_path):
     """A non-empty bundle: the witness run's copies are numbered without
     building the nodding product's table of 2,000,000 petals."""
     (tmp_path / "huge.nfa").write_text(HUGE_ALPHABET_BUNDLE + "final 1\ntrans 0 0 1\n")
-    done = _capped_cli(tmp_path, "decide", "huge.nfa")
+    done = capped_cli(tmp_path, "decide", "huge.nfa")
     assert (done.returncode, done.stdout) == (0, "NONEMPTY 0\n"), done.stderr
     assert "explored_states=3 explored_transitions=2" in done.stderr
-    assert _capped_cli(tmp_path, "certify", "huge.nfa", "-o", "huge.cert").returncode == 0
-    done = _capped_cli(tmp_path, "verify", "huge.nfa", "huge.cert")
+    assert capped_cli(tmp_path, "certify", "huge.nfa", "-o", "huge.cert").returncode == 0
+    done = capped_cli(tmp_path, "verify", "huge.nfa", "huge.cert")
     assert (done.returncode, done.stdout) == (0, "VALID pathset\n"), done.stderr
 
 
@@ -363,15 +340,15 @@ def test_huge_alphabet_hand_back_costs_its_moving_letters(tmp_path):
     closure builds no mask and moves sets of tuple ids, filling only the
     nodding copies it reaches."""
     (tmp_path / "huge.nfa").write_text(HUGE_ALPHABET_BUNDLE)
-    done = _capped_cli(tmp_path, "decide", "huge.nfa", budget=3)
+    done = capped_cli(tmp_path, "decide", "huge.nfa", budget=3)
     assert (done.returncode, done.stdout) == (1, "EMPTY\n"), done.stderr
     assert "explored_states=2 explored_transitions=1" in done.stderr
     (tmp_path / "huge.nfa").write_text(HUGE_ALPHABET_BUNDLE + "final 1\ntrans 0 0 1\n")
-    done = _capped_cli(tmp_path, "decide", "huge.nfa", budget=3)
+    done = capped_cli(tmp_path, "decide", "huge.nfa", budget=3)
     assert (done.returncode, done.stdout) == (0, "NONEMPTY 0\n"), done.stderr
     assert "explored_states=3 explored_transitions=2" in done.stderr
-    assert _capped_cli(tmp_path, "certify", "huge.nfa", "-o", "huge.cert", budget=3).returncode == 0
-    done = _capped_cli(tmp_path, "verify", "huge.nfa", "huge.cert", budget=3)
+    assert capped_cli(tmp_path, "certify", "huge.nfa", "-o", "huge.cert", budget=3).returncode == 0
+    done = capped_cli(tmp_path, "verify", "huge.nfa", "huge.cert", budget=3)
     assert (done.returncode, done.stdout) == (0, "VALID pathset\n"), done.stderr
 
 
@@ -424,7 +401,7 @@ def test_huge_alphabet_product_costs_its_moving_letters(tmp_path, construction):
     m_leq_k are computed from the moving letters, not from 2,000,000
     letters or the copies numbered by their words."""
     (tmp_path / "huge.nfa").write_text(HUGE_ALPHABET_BUNDLE + "final 1\ntrans 0 0 1\n")
-    done = _capped_cli(tmp_path, "product", "--construction", construction, "huge.nfa", "-o", "huge.out")
+    done = capped_cli(tmp_path, "product", "--construction", construction, "huge.nfa", "-o", "huge.out")
     assert done.returncode == 0, done.stderr
     states, transitions = (3, 2) if construction in ("nodding", "echoing") else (2, 1)
     assert done.stderr.endswith(f"\n{construction},2,2000000,2,1,{states},{transitions},2\n")
@@ -436,7 +413,7 @@ def test_wide_alphabet_full_direct_product_costs_its_moving_letters(tmp_path):
     loop over the letters its component 0 moves on, not over all 64."""
     block = "nfa\nstates 64\nalphabet 64\ninitial 0\nfinal 1\ntrans 0 0 1\n"
     (tmp_path / "wide.nfa").write_text("---\n".join([block] * 3))
-    done = _capped_cli(tmp_path, "product", "--full", "--construction", "direct", "wide.nfa", "-o", "wide.out",
+    done = capped_cli(tmp_path, "product", "--full", "--construction", "direct", "wide.nfa", "-o", "wide.out",
                        budget=64 ** 3)
     assert done.returncode == 0, done.stderr
     assert done.stderr.endswith("\ndirect,3,64,64,1,2,1,64\n")

@@ -176,17 +176,15 @@ def test_mtnfa_requires_tapes():
     assert "tapes" in str(err.value)
 
 
-def test_tagged_alphabet_annotation():
-    from nfai.relations import rs_to_ie
-    from nfai.hardness import random_bundle
-
-    bundle = random_bundle(2, 2, 2, 0.5, "tagged")
-    big = rs_to_ie(bundle, equality_relation(2, 2))
-    text = serialize_automaton(big.automata[0], tagged_k=2)
-    assert "alphabet 4 tagged k=2" in text
-    assert parse_automaton(text) == big.automata[0]
-    with pytest.raises(FormatError):
-        parse_automaton(text.replace("alphabet 4 tagged k=2", "alphabet 4 tagged k=3"))
+@pytest.mark.parametrize("line", ["states 2", "alphabet 1", "tapes 1", "letters a", "initial 0", "final 1"])
+def test_repeated_declaration_is_refused_at_its_line(line):
+    block = ["mtnfa", "states 2", "alphabet 1", "tapes 1", "letters a", "initial 0", "final 1"]
+    at = block.index(line) + 1
+    text = "\n".join(block[:at] + [line] + block[at:]) + "\n"
+    with pytest.raises(FormatError) as err:
+        parse_automaton(text)
+    assert err.value.line_no == at + 1
+    assert str(err.value) == f"line {at + 1}: duplicate {line.split()[0]!r} line"
 
 
 def test_mtnfa_roundtrip_and_tape_range():
