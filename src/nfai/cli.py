@@ -5,7 +5,8 @@ Subcommands: ``product``, ``decide``, ``certify``, ``verify``, ``gen``,
 affirmative answer (non-empty / valid / satisfiable / success), 1 for the
 negative one, 2 for usage or input errors.  All randomized commands take
 explicit seeds; nothing draws ambient entropy.  The environment variable
-``NFAI_STATE_BUDGET`` caps product states explored and cut tuple spaces.
+``NFAI_STATE_BUDGET``, the only budget, caps product states explored, cut
+tuple spaces and what the generators and reductions would build.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ def _load_bundle(path: str) -> InstanceBundle:
 def cmd_product(args) -> int:
     bundle = _load_bundle(args.bundle)
     if args.full:
-        automaton = products.materialize(args.construction, bundle, args.budget)
-        stats, _ = products.accessible_stats(args.construction, bundle, args.budget)
+        automaton = products.materialize(args.construction, bundle)
+        stats, _ = products.accessible_stats(args.construction, bundle)
     else:
-        automaton, stats = products.accessible_part(args.construction, bundle, args.budget)
+        automaton, stats = products.accessible_part(args.construction, bundle)
     _write(args.out, serialize_automaton(automaton))
     print(products.STATS_CSV_HEADER, file=sys.stderr)
     print(products.stats_csv_row(stats), file=sys.stderr)
@@ -116,11 +117,10 @@ def _parse_random_graph(spec: str) -> hardness.UndirectedGraph:
     try:
         n_text, p_text, seed_text = spec.split(",")
         n, p = int(n_text), float(p_text)
-        if n > (limit := products.state_budget()):
-            raise products.BudgetExceeded(f"random graph has {n} vertices, over the state budget of {limit}")
+        products.check_budget(n, f"random graph has {n} vertices")
         # random_graph keeps about p * n(n-1)/2 edges: refuse them before drawing
-        if (edges := p * n * (n - 1) / 2) > limit:
-            raise products.BudgetExceeded(f"random graph expects {edges:.0f} edges, over the state budget of {limit}")
+        edges = p * n * (n - 1) / 2
+        products.check_budget(edges, f"random graph expects {edges:.0f} edges")
         return hardness.random_graph(n, p, int(seed_text))
     except ValueError as exc:
         raise ValueError(f"bad random graph spec {spec!r}; expected random:n,p,seed") from exc
@@ -142,9 +142,8 @@ def cmd_gen(args) -> int:
 def cmd_oracle(args) -> int:
     bundle = _load_bundle(args.bundle)
     # the oracle keeps n masks of n bits and l * n letter slots per component
-    limit = products.state_budget()
-    if (cells := max(a.n_states * (a.n_states + a.n_letters) for a in bundle.automata)) > limit:
-        raise products.BudgetExceeded(f"oracle tables need {cells} cells, over the state budget of {limit}")
+    cells = max(a.n_states * (a.n_states + a.n_letters) for a in bundle.automata)
+    products.check_budget(cells, f"oracle tables need {cells} cells")
     witness = oracle.bounded_intersection_witness(bundle, args.max_len)
     if witness is None:
         print("NONE")
@@ -170,17 +169,16 @@ def cmd_rs(args) -> int:
 
 
 def _bench_one(job):
-    instance_id, k, l, n, density, seed, construction, budget, timing = job
-    bundle = hardness.random_bundle(k, n, l, density, seed)
+    instance_id, k, l, n, density, seed, construction, timing = job
     start = time.perf_counter_ns()
     try:
-        stats, nonempty = products.accessible_stats(construction, bundle, budget)
+        bundle = hardness.random_bundle(k, n, l, density, seed)
+        start = time.perf_counter_ns()
+        stats, nonempty = products.accessible_stats(construction, bundle)
     except products.BudgetExceeded:
+        # a refused draw or walk; every component draws round(density * l * n^2)
         elapsed = time.perf_counter_ns() - start if timing else 0
-        return (
-            f"{instance_id},{construction},{k},{l},{n},{bundle.max_transitions},"
-            f"0,0,{elapsed},SKIP"
-        )
+        return f"{instance_id},{construction},{k},{l},{n},{round(density * (l * n * n))},0,0,{elapsed},SKIP"
     elapsed = time.perf_counter_ns() - start if timing else 0
     bounds = products.SIZE_BOUNDS[construction](k, l, n, stats.n_transitions_max, stats.m_leq_k)
     if stats.transitions_accessible > bounds[1]:
@@ -209,7 +207,7 @@ def cmd_bench(args) -> int:
             for construction in constructions:
                 jobs.append(
                     (instance_id, args.k, args.alphabet, args.n, density, seed,
-                     construction, args.budget, timing)
+                     construction, timing)
                 )
     print(BENCH_CSV_HEADER)
     if args.workers > 1:
@@ -234,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--construction", required=True, choices=products.CONSTRUCTIONS)
     p.add_argument("-o", "--out", default=None, help="output file (default stdout)")
     p.add_argument("--full", action="store_true", help="materialize all states, not just the accessible part")
-    p.add_argument("--budget", type=int, default=None, help="state budget override")
     p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("decide", help="decide intersection emptiness")
@@ -266,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", required=True, help="comma-separated seeds")
     p.add_argument("--constructions", default="nodding,direct")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--no-timing", action="store_true", help="write 0 timings for byte-reproducible output")
     p.set_defaults(func=cmd_bench)
 

@@ -19,7 +19,7 @@ from typing import List
 
 from .automata import InstanceBundle, Nfa
 from .fileformat import FormatError, _strip, fields, once
-from .products import state_budget
+from .products import check_budget, state_budget
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,14 @@ def clique_to_dfas(g: UndirectedGraph, k: int) -> List[Nfa]:
     fan-out state per vertex v, and self-loops on v's neighbours; every fan
     state is final.  The last automaton replaces the self-loops by a single
     edge into a unique final state, which also pins the word length to k.
+    Its n·k(k-1)/2 + 2|E|(k-1) transitions are checked against the state
+    budget before any is built.
     """
     if k < 3:
         raise ValueError("the clique reduction needs k >= 3")
     n = g.n_vertices
+    count = n * k * (k - 1) // 2 + 2 * len(g.edges) * (k - 1)
+    check_budget(count, f"clique reduction has {count} transitions")
     neighbours: List[List[int]] = [[] for _ in range(n)]
     for (u, v) in g.edges:  # one pass over the edges, not one per vertex
         neighbours[u].append(v)
@@ -95,21 +99,19 @@ def random_nfa(n_states: int, n_letters: int, density: float, seed) -> Nfa:
     density=1 gives the complete transition relation.  The initial state is
     0; each state is final with probability 1/2, with one forced final when
     the coin flips all come up empty.  Identical seeds give identical
-    automata.
+    automata.  A count over the state budget is refused before the draw,
+    which samples indices into the l * n^2 triples without listing them.
     """
     if not (0.0 <= density <= 1.0):
         raise ValueError("density must lie in [0, 1]")
     if n_states < 1 or n_letters < 0:
         raise ValueError("need at least one state and a non-negative alphabet")
+    universe = n_letters * n_states * n_states
+    count = round(density * universe)
+    check_budget(count, f"random NFA draws {count} transitions")
     rng = random.Random(_seed_key(seed))
-    universe = [
-        (src, letter, dst)
-        for src in range(n_states)
-        for letter in range(n_letters)
-        for dst in range(n_states)
-    ]
-    count = round(density * len(universe))
-    transitions = rng.sample(universe, count)
+    row = n_letters * n_states
+    transitions = [(j // row, j // n_states % n_letters, j % n_states) for j in rng.sample(range(universe), count)]
     finals = {q for q in range(n_states) if rng.random() < 0.5}
     if not finals:
         finals = {rng.randrange(n_states)}

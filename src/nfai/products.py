@@ -67,11 +67,17 @@ class BudgetExceeded(RuntimeError):
         return cls(f"accessible part of {construction} exceeds the state budget of {limit}")
 
 
-def state_budget(explicit: Optional[int] = None) -> int:
-    if explicit is not None:
-        return explicit
+def state_budget() -> int:
+    """``NFAI_STATE_BUDGET`` if set, else the default; read at every call."""
     env = os.environ.get(STATE_BUDGET_ENV)
     return int(env) if env else DEFAULT_STATE_BUDGET
+
+
+def check_budget(count, what: str) -> None:
+    """Refuse an untrusted size before anything is allocated for it: raise
+    BudgetExceeded("<what>, over the state budget of <limit>") when ``count`` exceeds it."""
+    if count > (limit := state_budget()):
+        raise BudgetExceeded(f"{what}, over the state budget of {limit}")
 
 
 class ProductSpace:
@@ -138,9 +144,7 @@ class ProductSpace:
 
     def check_tuple_budget(self) -> None:
         """Raise BudgetExceeded before any mask over more tuples than the budget."""
-        if self.base_size > (limit := state_budget()):
-            raise BudgetExceeded(
-                f"cut tuple space has {self.base_size} tuples, over the state budget of {limit}")
+        check_budget(self.base_size, f"cut tuple space has {self.base_size} tuples")
 
     def move(self, tuples, i: int, targets: Dict[int, Sequence[int]]):
         """Tuples reached from the set ``tuples`` by moving component i from
@@ -881,14 +885,10 @@ def stats_csv_row(stats: SparsityStats) -> str:
     )
 
 
-def materialize(construction: str, bundle: InstanceBundle, budget: Optional[int] = None):
+def materialize(construction: str, bundle: InstanceBundle):
     builder = builder_for(construction, bundle)
     total = builder.total_states()
-    limit = state_budget(budget)
-    if total > limit:
-        raise BudgetExceeded(
-            f"{builder.construction} product has {total} states, over the budget of {limit}"
-        )
+    check_budget(total, f"{builder.construction} product has {total} states")
     transitions = []
     for sid in range(total):
         for (label, dst) in builder.successors(sid):
@@ -898,12 +898,12 @@ def materialize(construction: str, bundle: InstanceBundle, budget: Optional[int]
     return cls(total, builder.n_letters, tuple(transitions), builder.initial, finals)
 
 
-def reachable(builder: ProductBuilder, budget: Optional[int] = None):
+def reachable(builder: ProductBuilder):
     """Breadth-first walk of the accessible part: yields ``(sid,
     builder.successors(sid))`` for every accessible state in discovery order,
     each before its successors are discovered.  Raises BudgetExceeded on the
-    first new state beyond ``state_budget(budget)``."""
-    limit = state_budget(budget)
+    first new state beyond ``state_budget()``."""
+    limit = state_budget()
     seen = {builder.initial}
     order = [builder.initial]  # the discovery list doubles as the queue
     for sid in order:
@@ -932,9 +932,7 @@ def _stats(builder: ProductBuilder, bundle: InstanceBundle, states_acc: int, tra
     )
 
 
-def accessible_part(
-    construction: str, bundle: InstanceBundle, budget: Optional[int] = None
-) -> Tuple[Union[Nfa, EpsilonNfa], SparsityStats]:
+def accessible_part(construction: str, bundle: InstanceBundle) -> Tuple[Union[Nfa, EpsilonNfa], SparsityStats]:
     """Breadth-first search from the initial state, generating successors
     lazily; unreachable states are never touched.  Returns the reachable
     sub-automaton (states renumbered in discovery order, initial = 0) and
@@ -944,7 +942,7 @@ def accessible_part(
     # yielded, so numbering each target on first sight reproduces its order
     index = {builder.initial: 0}
     transitions = []
-    for src, (_, successors) in enumerate(reachable(builder, budget)):
+    for src, (_, successors) in enumerate(reachable(builder)):
         for (label, dst) in successors:
             target = index.get(dst)
             if target is None:
@@ -956,9 +954,7 @@ def accessible_part(
     return automaton, _stats(builder, bundle, len(index), len(transitions))
 
 
-def accessible_stats(
-    construction: str, bundle: InstanceBundle, budget: Optional[int] = None
-) -> Tuple[SparsityStats, bool]:
+def accessible_stats(construction: str, bundle: InstanceBundle) -> Tuple[SparsityStats, bool]:
     """Counting-only exploration: statistics plus whether any final state is
     reachable, without storing the sub-automaton.
 
@@ -970,11 +966,11 @@ def accessible_stats(
     raise BudgetExceeded in the same cases."""
     builder = builder_for(construction, bundle)
     if construction == "direct":
-        visits = [(sid, len(successors)) for sid, successors in reachable(builder, budget)]
+        visits = [(sid, len(successors)) for sid, successors in reachable(builder)]
         states, transitions = len(visits), sum(n for _, n in visits)
         nonempty = any(builder.is_final(sid) for sid, _ in visits)
     else:
-        closure = close_table(builder.moves, builder.prepared, state_budget(budget), construction)
+        closure = close_table(builder.moves, builder.prepared, state_budget(), construction)
         states, transitions = closure.states, closure.transitions
         nonempty = any(builder.prepared.space.select(tuples, accept)
                        for t, tuples in closure.seen.items() if (accept := builder.accept[t]) is not None)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .automata import InstanceBundle, Nfa
-from .products import BudgetExceeded, state_budget
+from .products import check_budget
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,12 @@ def equality_relation(k: int, n_letters: int) -> MultiTapeAutomaton:
     """k-tape automaton accepting exactly the tuples (w, w, ..., w).
 
     One cycle per letter: read the letter on tapes 0..k-1 in order, then
-    return to the hub.  1 + (k-1)*n_letters states.
+    return to the hub.  1 + (k-1)*n_letters states; its k*n_letters
+    transitions are checked against the state budget before any is built.
     """
     if k < 2:
         raise ValueError("equality relation needs at least two tapes")
+    check_budget(k * n_letters, f"equality relation has {k * n_letters} transitions")
     # state 0 = hub; state for (letter, j) = 1 + letter*(k-1) + (j-1), j in [1, k-1]
     def mid(letter, j):
         return 1 + letter * (k - 1) + (j - 1)
@@ -132,8 +134,8 @@ def ie_to_rs(bundle: InstanceBundle) -> Tuple[InstanceBundle, MultiTapeAutomaton
     k = bundle.k - 1
     last = bundle.automata[-1]
     n, l = last.n_states, last.n_letters
-    if (copies := (k - 1) * l * n) > (limit := state_budget()):
-        raise BudgetExceeded(f"relation needs {copies} tagged states, over the state budget of {limit}")
+    copies = (k - 1) * l * n
+    check_budget(copies, f"relation needs {copies} tagged states")
     # base copy: state q -> q; tagged copy (q, letter, i) for i in [1, k-1]
     def tagged(q, letter, i):
         return n + (((i - 1) * l) + letter) * n + q
@@ -179,8 +181,8 @@ def rs_to_ie(bundle: InstanceBundle, c: MultiTapeAutomaton) -> InstanceBundle:
     if c.n_letters != bundle.n_letters:
         raise ValueError("relation and bundle use different alphabets")
     l = bundle.n_letters
-    if (loops := sum(a.n_states for a in bundle.automata) * l * (k - 1)) > (limit := state_budget()):
-        raise BudgetExceeded(f"components need {loops} tagged self-loops, over the state budget of {limit}")
+    loops = sum(a.n_states for a in bundle.automata) * l * (k - 1)
+    check_budget(loops, f"components need {loops} tagged self-loops")
     tagged_size = l * k
     components: List[Nfa] = []
     for i, a in enumerate(bundle.automata):

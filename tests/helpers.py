@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import nfai
 from nfai.automata import InstanceBundle, Nfa, accepts
 from nfai.certificates import CERT_MAGIC, ShortPathset, StaggeredCut
 from nfai.fileformat import FormatError
-from nfai.hardness import UndirectedGraph, random_bundle
+from nfai.hardness import UndirectedGraph, _seed_key, random_bundle
 from nfai.products import builder_for, nodding_copy, reachable
 from nfai.relations import MultiTapeAutomaton, multitape_accepts
 
@@ -291,6 +292,24 @@ def cut_by_walk(bundle: InstanceBundle) -> StaggeredCut:
     masks = {tag: space.mask_of(tids) for tag, tids in members.items()}
     volleys = [masks.get(nodding_copy(letter, i, k), 0) for i in range(1, k) for letter in range(l)]
     return StaggeredCut(l, space.sizes, tuple([masks[0]] * l + volleys))
+
+
+def random_nfa_reference(n_states: int, n_letters: int, density: float, seed) -> Nfa:
+    """``hardness.random_nfa`` as it drew before it sampled indices: by
+    sampling the listed l * n^2 (src, letter, dst) triples themselves.  The
+    reference the index draw is checked against."""
+    rng = random.Random(_seed_key(seed))
+    universe = [
+        (src, letter, dst)
+        for src in range(n_states)
+        for letter in range(n_letters)
+        for dst in range(n_states)
+    ]
+    transitions = rng.sample(universe, round(density * len(universe)))
+    finals = {q for q in range(n_states) if rng.random() < 0.5}
+    if not finals:
+        finals = {rng.randrange(n_states)}
+    return Nfa(n_states, n_letters, tuple(transitions), 0, frozenset(finals))
 
 
 #: Word encoding the unique 4-clique of :func:`example_clique_graph`,

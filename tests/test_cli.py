@@ -177,8 +177,13 @@ def test_gen_refuses_graphs_over_the_state_budget(tmp_path, monkeypatch, capsys)
     # 1000 vertices are within the budget, but not p * n(n-1)/2 = 4995 expected edges
     assert main(["gen", "clique", "--graph", "random:1000,0.01,1", "--k", "3", "-o", str(out)]) == 2
     assert capsys.readouterr().err == "error: random graph expects 4995 edges, over the state budget of 1000\n"
+    # the reduction's n·k(k-1)/2 + 2|E|(k-1) transitions, counted before it is built
+    assert main(["gen", "clique", "--graph", "random:8,0.5,1", "--k", "20000", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: clique reduction has 1600599966 transitions, over the state budget of 1000\n")
     assert not out.exists()
-    assert main(["gen", "clique", "--graph", "random:1000,0.002,1", "--k", "3", "-o", str(out)]) == 0
+    # 150 vertices, 68 edges: a reduction of 150 * 3 + 4 * 68 = 722 transitions
+    assert main(["gen", "clique", "--graph", "random:150,0.005,1", "--k", "3", "-o", str(out)]) == 0
 
 
 def test_decide_reports_the_line_of_a_mismatched_block(tmp_path, capsys):
@@ -232,14 +237,37 @@ def test_bench_deterministic_without_timing(capsys):
         assert fields[9] in ("EMPTY", "NONEMPTY", "SKIP")
 
 
-def test_bench_budget_skip(capsys):
+def test_bench_budget_skip(monkeypatch, capsys):
+    # under a budget of 4 the 72 transitions of each component are refused
+    # before they are drawn
+    monkeypatch.setenv("NFAI_STATE_BUDGET", "4")
     args = [
         "bench", "--k", "2", "--alphabet", "2", "--n", "6", "--density", "1.0",
-        "--seeds", "3", "--constructions", "direct", "--budget", "4", "--no-timing",
+        "--seeds", "3", "--constructions", "direct", "--no-timing",
     ]
     assert main(args) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1].endswith("SKIP")
+    assert lines[1] == "k2-l2-n6-d1.0-s3,direct,2,2,6,72,0,0,0,SKIP"
+    # under 40, each component's 36 transitions are drawn, and the direct
+    # walk is refused among the 216 tuples it meets
+    monkeypatch.setenv("NFAI_STATE_BUDGET", "40")
+    args = [
+        "bench", "--k", "3", "--alphabet", "1", "--n", "6", "--density", "1.0",
+        "--seeds", "3", "--constructions", "direct", "--no-timing",
+    ]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "k3-l1-n6-d1.0-s3,direct,3,1,6,36,0,0,0,SKIP"
+
+
+@pytest.mark.parametrize("args", [["product", "--construction", "direct", "x.nfa"],
+                                  ["bench", "--k", "2", "-l", "1", "--n", "2", "--seeds", "0"]])
+def test_budget_flag_is_gone(args, capsys):
+    # NFAI_STATE_BUDGET is the only budget
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--budget", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
 
 
 def test_bench_empty_answer(tmp_path, capsys):
@@ -355,6 +383,25 @@ def test_hostile_bundle_refused_before_per_state_tables(tmp_path, args):
     done = capped_cli(tmp_path, *args)
     assert done.returncode == 2, done.stderr
     assert "over the state budget" in done.stderr
+
+
+def test_bench_refuses_a_draw_before_listing_its_triples(tmp_path):
+    # 2 * 10^10 (src, letter, dst) triples per component: a SKIP row, not a
+    # MemoryError while listing them
+    done = capped_cli(tmp_path, "bench", "--k", "2", "-l", "2", "--n", "100000", "--seeds", "0", "--no-timing")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[1:] == [
+        f"k2-l2-n100000-d1.0-s0,{c},2,2,100000,20000000000,0,0,0,SKIP" for c in ("nodding", "direct")]
+
+
+def test_equality_relation_refused_before_it_is_built(tmp_path):
+    # 2,000,000 declared letters: the equality relation would have 6,000,000
+    # transitions, and rs would read its MemoryError as UNSATISFIABLE (exit 1)
+    block = "nfa\nstates 2\nalphabet 2000000\ninitial 0\nfinal 1\n"
+    (tmp_path / "a3.nfa").write_text("---\n".join([block + "trans 0 0 1\n"] * 2 + [block]))
+    done = capped_cli(tmp_path, "rs", "a3.nfa", "--equality")
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == "error: equality relation has 6000000 transitions, over the state budget of 1000\n"
 
 
 def test_repeated_final_line_is_refused_at_its_line(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from nfai.automata import accepts, is_deterministic
 from nfai.decision import decide_empty, witness_word
+from nfai.products import BudgetExceeded
 from nfai.hardness import (
     UndirectedGraph,
     brute_force_has_clique,
@@ -16,7 +17,7 @@ from nfai.hardness import (
     serialize_graph,
 )
 
-from helpers import EXAMPLE_CLIQUE_WORD, example_clique_graph
+from helpers import EXAMPLE_CLIQUE_WORD, example_clique_graph, random_nfa_reference
 
 
 def complete_graph(n):
@@ -115,6 +116,20 @@ def test_reduction_of_a_large_sparse_graph_is_linear():
     assert dfas[0].successors(1, 5) == (1,) and dfas[0].successors(1 + 5, 0) == (1 + 5,)
 
 
+@pytest.mark.parametrize("k", [3, 4, 6])
+def test_reduction_is_refused_over_the_state_budget_before_it_is_built(k, monkeypatch):
+    """The budget check counts the reduction's transitions exactly:
+    n·k(k-1)/2 + 2|E|(k-1)."""
+    g = example_clique_graph()
+    count = sum(a.m for a in clique_to_dfas(g, k))
+    assert count == g.n_vertices * k * (k - 1) // 2 + 2 * len(g.edges) * (k - 1)
+    monkeypatch.setenv("NFAI_STATE_BUDGET", str(count))
+    assert sum(a.m for a in clique_to_dfas(g, k)) == count
+    monkeypatch.setenv("NFAI_STATE_BUDGET", str(count - 1))
+    with pytest.raises(BudgetExceeded, match=f"^clique reduction has {count} transitions, over the state budget of {count - 1}$"):
+        clique_to_dfas(g, k)
+
+
 def test_reduction_word_length_is_pinned():
     g = complete_graph(5)
     bundle = clique_bundle(g, 4)
@@ -132,6 +147,24 @@ def test_random_nfa_density_extremes():
 def test_random_nfa_deterministic_per_seed():
     assert random_nfa(4, 2, 0.5, 99) == random_nfa(4, 2, 0.5, 99)
     assert random_nfa(4, 2, 0.5, 99) != random_nfa(4, 2, 0.5, 100)
+
+
+@pytest.mark.parametrize("n_states, n_letters", [(1, 0), (1, 1), (2, 1), (3, 2), (5, 3), (8, 1), (4, 7), (12, 2)])
+def test_random_nfa_draws_what_sampling_the_listed_triples_drew(n_states, n_letters):
+    """Sampling indices picks the triples sampling their list picked, for
+    every density and kind of seed, with the final states drawn after."""
+    for density in (0.0, 0.05, 0.3, 0.5, 0.77, 1.0):
+        for seed in (0, 1, 99, "parity-base/2/40/1.0/0", (3, 1), ("s", 2)):
+            expected = random_nfa_reference(n_states, n_letters, density, seed)
+            assert random_nfa(n_states, n_letters, density, seed) == expected, (density, seed)
+
+
+def test_random_nfa_refuses_a_draw_over_the_state_budget(monkeypatch):
+    monkeypatch.setenv("NFAI_STATE_BUDGET", "18")
+    assert random_nfa(3, 2, 1.0, 1).m == 18
+    monkeypatch.setenv("NFAI_STATE_BUDGET", "17")
+    with pytest.raises(BudgetExceeded, match="^random NFA draws 18 transitions, over the state budget of 17$"):
+        random_nfa(3, 2, 1.0, 1)
 
 
 def test_random_nfa_parameter_validation():

@@ -581,10 +581,11 @@ def test_size_bounds_pinned_at_one_point():
     assert SIZE_BOUNDS["catchup"](3, 1, 4, 5, 7) == expected["catchup"]
 
 
-def test_materialize_budget():
+def test_materialize_budget(monkeypatch):
     bundle = random_bundle(3, 4, 3, 1.0, "budget")
-    with pytest.raises(BudgetExceeded):
-        materialize("catchup", bundle, budget=100)
+    monkeypatch.setenv("NFAI_STATE_BUDGET", "100")
+    with pytest.raises(BudgetExceeded, match=", over the state budget of 100$"):
+        materialize("catchup", bundle)
 
 
 # --- accessible part --------------------------------------------------------------

@@ -35,10 +35,10 @@ from helpers import acceptance_corpus, bundles, chains, complete_empty_bundle
 SPARSE = ("nodding", "echoing", "catchup", "leapfrog")
 
 
-def _explore_reference(builder, budget=None):
+def _explore_reference(builder):
     """Returns (order, index, transitions): discovery order, the state
     numbering, and every accessible transition renumbered."""
-    limit = state_budget(budget)
+    limit = state_budget()
     index = {builder.initial: 0}
     order = [builder.initial]
     transitions = []
@@ -122,20 +122,23 @@ def test_reachable_yields_discovery_order_with_successors():
     assert all(successors == builder.successors(sid) for sid, successors in visits)
 
 
-def test_reachable_budget_boundary():
+def test_reachable_budget_boundary(monkeypatch):
     builder = builder_for("nodding", complete_empty_bundle())
     accessible = len(list(reachable(builder)))
-    assert len(list(reachable(builder, budget=accessible))) == accessible
+    monkeypatch.setenv("NFAI_STATE_BUDGET", str(accessible))
+    assert len(list(reachable(builder))) == accessible
+    monkeypatch.setenv("NFAI_STATE_BUDGET", str(accessible - 1))
     with pytest.raises(BudgetExceeded):
-        list(reachable(builder, budget=accessible - 1))
+        list(reachable(builder))
 
 
-def test_reachable_yields_a_state_before_expanding_it():
+def test_reachable_yields_a_state_before_expanding_it(monkeypatch):
     # the initial state alone is within a budget of 1; a consumer that stops
     # there never discovers its successors, so never hits the budget
     a = Nfa(2, 1, ((0, 0, 1),), 0, frozenset({1}))
     builder = builder_for("nodding", InstanceBundle((a, a)))
-    walk = reachable(builder, budget=1)
+    monkeypatch.setenv("NFAI_STATE_BUDGET", "1")
+    walk = reachable(builder)
     sid, successors = next(walk)
     assert sid == builder.initial and successors
     with pytest.raises(BudgetExceeded):
@@ -144,16 +147,16 @@ def test_reachable_yields_a_state_before_expanding_it():
 
 # --- the copy closure behind accessible_stats ----------------------------------------
 
-def _closure(construction, bundle, budget=None):
+def _closure(construction, bundle):
     """``close_table`` on the builder's copy table, as ``accessible_stats`` runs it."""
     builder = builder_for(construction, bundle)
-    return close_table(builder.moves, builder.prepared, state_budget(budget), construction)
+    return close_table(builder.moves, builder.prepared, state_budget(), construction)
 
 
-def _walk_stats(construction, bundle, budget=None):
+def _walk_stats(construction, bundle):
     """``accessible_stats`` by the ``reachable`` walk alone."""
     builder = builder_for(construction, bundle)
-    visits = [(sid, len(successors)) for sid, successors in reachable(builder, budget)]
+    visits = [(sid, len(successors)) for sid, successors in reachable(builder)]
     nonempty = any(builder.is_final(sid) for sid, _ in visits)
     return _stats(builder, bundle, len(visits), sum(n for _, n in visits)), nonempty
 
@@ -186,18 +189,16 @@ def test_forced_forms_give_the_same_stats(corpus, monkeypatch):
 
 def test_copy_closure_budget_boundary_matches_the_walk(corpus, monkeypatch):
     """At the accessible count both engines pass; at one less both raise the
-    same message, through ``budget=`` and through NFAI_STATE_BUDGET."""
+    same message."""
     closure_runs = 0
     for name, bundle in corpus[::3]:
         for construction in SPARSE:
             accessible = _walk_stats(construction, bundle)[0].states_accessible
             for limit in (accessible, accessible - 1):
-                expected = _outcome(lambda: _walk_stats(construction, bundle, limit))
+                monkeypatch.setenv("NFAI_STATE_BUDGET", str(limit))
+                expected = _outcome(lambda: _walk_stats(construction, bundle))
                 if accessible > 1:  # the initial state alone is never refused
                     assert isinstance(expected, str) == (limit < accessible)
-                got = _outcome(lambda: accessible_stats(construction, InstanceBundle(bundle.automata), limit))
-                assert got == expected, (name, construction, limit)
-                monkeypatch.setenv("NFAI_STATE_BUDGET", str(limit))
                 got = _outcome(lambda: accessible_stats(construction, InstanceBundle(bundle.automata)))
                 monkeypatch.delenv("NFAI_STATE_BUDGET")
                 assert got == expected, (name, construction, limit)
@@ -212,13 +213,14 @@ def test_thin_parts_of_large_spaces_close_by_sets(n, budget, monkeypatch):
     tuple space over it, though their accessible parts fit, so even a forced
     switch builds no mask."""
     bundle = chains(n)
-    expected = {c: _walk_stats(c, bundle, budget) for c in SPARSE}
     if budget is not None:
+        monkeypatch.setenv("NFAI_STATE_BUDGET", str(budget))
         monkeypatch.setattr(products, "SET_STEP_WORDS", 1 << 62)
+    expected = {c: _walk_stats(c, bundle) for c in SPARSE}
     monkeypatch.setattr(products.ProductSpace, "mask_of", None)
     for construction in SPARSE:
-        assert type(_closure(construction, bundle, budget).met) is set
-        assert accessible_stats(construction, bundle, budget) == expected[construction]
+        assert type(_closure(construction, bundle).met) is set
+        assert accessible_stats(construction, bundle) == expected[construction]
 
 
 def test_direct_never_enters_the_copy_closure(corpus, monkeypatch):
