@@ -42,12 +42,12 @@ occupy a contiguous prefix of the id space.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import repeat
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .automata import EPSILON, EpsilonNfa, InstanceBundle, Nfa
@@ -260,14 +260,18 @@ def _repeat(block: int, period: int, count: int) -> int:
         period *= 2
 
 
-def _by_letter(a: Nfa) -> tuple:
-    """Per letter s, ``{q: successors of q on s}`` for the states q that move.
-    The letters with no move share one empty dict, never to be mutated."""
+def _by_letter(a: Nfa, stride: int = 1) -> dict:
+    """Per letter s that moves, ``{q: successors of q on s, times stride}``
+    for the states q that move, each list ascending: the adjacency's own
+    tuples when the stride is 1."""
     lists: Dict[int, dict] = {}
     for (q, s), dsts in a.adjacency.items():
-        lists.setdefault(s, {})[q] = dsts
-    none: dict = {}
-    return tuple(lists.get(s, none) for s in range(a.n_letters))
+        lists.setdefault(s, {})[q] = dsts if stride == 1 else tuple([d * stride for d in dsts])
+    return lists
+
+
+#: The moves on a letter that moves no state, shared; never to be mutated.
+_NO_MOVES: dict = {}
 
 
 @dataclass(frozen=True)
@@ -435,8 +439,9 @@ class PreparedBundle:
 
     @cached_property
     def letters(self) -> tuple:
-        """letters[i][s]: ``{q: successors of q on s}`` in component i."""
-        return tuple(_by_letter(a) for a in self.automata)
+        """letters[i][s]: ``{q: successors of q on s}`` in component i; the
+        letters with no move share :data:`_NO_MOVES`."""
+        return tuple(tuple(map(_by_letter(a).get, range(a.n_letters), repeat(_NO_MOVES))) for a in self.automata)
 
     @cached_property
     def relations(self) -> tuple:
@@ -622,34 +627,42 @@ class ProductBuilder:
 
 
 class _DirectBuilder(ProductBuilder):
-    """One copy and no volleys: all components move at once, so the
-    successors and the transition count are its own, over the letters that
-    component 0 (its state, for the successors) moves on."""
+    """One copy and no volleys: all components move at once, on the letters
+    that component 0's state moves on.  ``targets[i][s]`` maps each state q
+    of component i that moves on letter s to its successors times component
+    i's stride, ascending; the letters that move in component i are its
+    only keys.  A successor id is then one sum per component, and summing
+    with the more significant component's targets in the outer loop yields
+    each letter's ids ascending: the list comes out in (label, id) order,
+    without a sort."""
 
     construction = "direct"
 
     def __init__(self, bundle: InstanceBundle):
         super().__init__(bundle)
-        self.firsts: Dict[int, list] = {}  # per state of component 0, the letters it moves on
-        for q, s in bundle.automata[0].adjacency:
-            self.firsts.setdefault(q, []).append(s)
+        self.targets = tuple(_by_letter(a, stride) for a, stride in zip(bundle.automata, self.space.strides))
+        self.firsts: Dict[int, list] = {}  # per state of component 0, the (letter, targets) it moves on, ascending
+        for letter, lists in sorted(self.targets[0].items()):
+            for q, ids in lists.items():
+                self.firsts.setdefault(q, []).append((letter, ids))
 
     def successors(self, sid: int) -> list:
-        space = self.space
-        comps = [space.component(sid, i) for i in range(self.k)]
-        letters = self.prepared.letters
+        states = [sid // stride % n for stride, n in zip(self.space.strides, self.sizes)]
         out = []
-        for letter in self.firsts.get(comps[0], ()):
-            lists = [letters[i][letter].get(comps[i], ()) for i in range(self.k)]
-            for targets in itertools.product(*lists):
-                out.append((letter, space.encode(targets)))
-        out.sort()
+        for letter, ids in self.firsts.get(states[0], ()):
+            for i in range(1, self.k):
+                offsets = self.targets[i].get(letter, _NO_MOVES).get(states[i])
+                if offsets is None:
+                    break
+                ids = [a + b for a in offsets for b in ids]
+            else:
+                out += zip(repeat(letter), ids)
         return out
 
     def total_transitions(self) -> int:
         return sum(
-            math.prod(sum(map(len, lists[letter].values())) for lists in self.prepared.letters)
-            for letter in self.prepared.relations[0].moving
+            math.prod(sum(map(len, targets.get(letter, _NO_MOVES).values())) for targets in self.targets)
+            for letter in self.targets[0]
         )
 
 
@@ -962,8 +975,9 @@ def accessible_stats(construction: str, bundle: InstanceBundle) -> Tuple[Sparsit
     their builders' copy tables: each state is in one front, and each move
     count is the sum of its members' successor lists, so the counts are the
     walk's.  ``direct``, the baseline the sparse sizes are compared with, is
-    counted by the ``reachable`` walk, one successor list at a time.  Both
-    raise BudgetExceeded in the same cases."""
+    counted by the ``reachable`` walk, one successor list at a time, each
+    list one sum of stride-scaled targets per transition, generated in
+    (label, id) order.  Both raise BudgetExceeded in the same cases."""
     builder = builder_for(construction, bundle)
     if construction == "direct":
         visits = [(sid, len(successors)) for sid, successors in reachable(builder)]

@@ -294,6 +294,25 @@ def cut_by_walk(bundle: InstanceBundle) -> StaggeredCut:
     return StaggeredCut(l, space.sizes, tuple([masks[0]] * l + volleys))
 
 
+def direct_successors_reference(builder, sid: int) -> list:
+    """``_DirectBuilder.successors`` as it was before it summed stride-scaled
+    target lists: every choice of one target per component through
+    ``itertools.product``, each packed by ``ProductSpace.encode``, the list
+    sorted.  The reference the direct successors are checked against; it
+    takes the builder first, so it also stands in for the method."""
+    space = builder.space
+    comps = [space.component(sid, i) for i in range(builder.k)]
+    letters = builder.prepared.letters
+    out = []
+    for q, letter in builder.prepared.automata[0].adjacency:
+        if q == comps[0]:
+            lists = [letters[i][letter].get(comps[i], ()) for i in range(builder.k)]
+            for targets in itertools.product(*lists):
+                out.append((letter, space.encode(targets)))
+    out.sort()
+    return out
+
+
 def random_nfa_reference(n_states: int, n_letters: int, density: float, seed) -> Nfa:
     """``hardness.random_nfa`` as it drew before it sampled indices: by
     sampling the listed l * n^2 (src, letter, dst) triples themselves.  The

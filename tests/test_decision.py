@@ -4,9 +4,13 @@ from nfai.automata import InstanceBundle, Nfa, accepts, run_is_accepting, valida
 from nfai.decision import decide_direct_baseline, decide_empty, witness_word
 from nfai.hardness import clique_bundle, random_bundle
 from nfai.oracle import bounded_intersection_witness
+from nfai import products
 from nfai.products import BudgetExceeded, materialize
 
-from helpers import EXAMPLE_CLIQUE_WORD, complete_empty_bundle, example_clique_graph
+from helpers import (
+    EXAMPLE_CLIQUE_WORD, acceptance_corpus, complete_empty_bundle, direct_successors_reference,
+    example_clique_graph,
+)
 
 
 def test_empty_when_some_finals_missing():
@@ -85,6 +89,15 @@ def test_dense_exploration_counts():
     assert direct.explored_transitions == l * n ** 4  # per letter, n^2 x n^2 pairings
     assert nodding.explored_transitions == 2 * m * n
     assert direct.explored_transitions > nodding.explored_transitions
+
+
+def test_direct_baseline_decides_as_on_the_reference_successors(monkeypatch):
+    # the same Decision, witness run and counts included, on the acceptance
+    # corpus as with the itertools.product successors it replaced
+    corpus = [bundle for _, bundle in acceptance_corpus()]
+    decisions = [decide_direct_baseline(bundle) for bundle in corpus]
+    monkeypatch.setattr(products._DirectBuilder, "successors", direct_successors_reference)
+    assert [decide_direct_baseline(bundle) for bundle in corpus] == decisions
 
 
 def test_baseline_empty_when_finals_missing():

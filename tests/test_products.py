@@ -27,8 +27,8 @@ from nfai.products import (
 )
 
 from helpers import (
-    acceptance_corpus, all_words, bundles, catchup_block, catchup_reference, catchup_tags, leapfrog_block,
-    leapfrog_reference, leapfrog_tags, reach_map,
+    acceptance_corpus, all_words, bundles, catchup_block, catchup_reference, catchup_tags,
+    direct_successors_reference, leapfrog_block, leapfrog_reference, leapfrog_tags, reach_map,
 )
 
 
@@ -276,6 +276,39 @@ def test_direct_product_of_self_loops():
     assert product.n_states == 1
     assert product.transitions == ((0, 0, 0),)
     assert accepts(product, (0, 0, 0))
+
+
+@given(bundles())
+def test_direct_successors_equal_the_reference(bundle):
+    # the stride sums give the sorted (label, id) list of itertools.product
+    # and encode, element for element, on every state
+    builder = builder_for("direct", bundle)
+    for sid in range(builder.total_states()):
+        assert builder.successors(sid) == direct_successors_reference(builder, sid)
+
+
+def test_direct_successors_skip_a_letter_a_later_component_does_not_move_on():
+    # from (0, 0, 0) components 0 and 1 move on both letters, component 2
+    # on letter 1 only: letter 0 gives no successor, letter 1 the four
+    # tuples (x, y, 1) with ids 4 + x + 2y, ascending
+    a = Nfa(2, 2, ((0, 0, 1), (0, 1, 0), (0, 1, 1)), 0, frozenset({1}))
+    c = Nfa(2, 2, ((0, 1, 1),), 0, frozenset({1}))
+    builder = builder_for("direct", InstanceBundle((a, a, c)))
+    assert builder.successors(0) == [(1, 4), (1, 5), (1, 6), (1, 7)] == direct_successors_reference(builder, 0)
+    # with component 2 in its state 1, which has no move, nothing moves
+    assert builder.successors(4) == [] == direct_successors_reference(builder, 4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_direct_walk_counts_the_cartesian_product(n):
+    # the paper's separation on the walked counts: two complete n-state
+    # relations over two letters give the direct walk all n^2 tuples and
+    # 2 n^4 transitions, the nodding product 4 n^3
+    complete = tuple((p, s, q) for p in range(n) for s in range(2) for q in range(n))
+    bundle = InstanceBundle((Nfa(n, 2, complete, 0, frozenset()), Nfa(n, 2, complete, 0, frozenset({0}))))
+    direct, _ = accessible_stats("direct", bundle)
+    assert (direct.states_accessible, direct.transitions_accessible) == (n ** 2, 2 * n ** 4)
+    assert accessible_stats("nodding", bundle)[0].transitions_accessible == 4 * n ** 3
 
 
 def test_direct_product_empty_finals():
