@@ -270,19 +270,19 @@ def verify_staggered_cut(bundle: InstanceBundle, cut: StaggeredCut) -> Verdict:
     Closure is checked per (component p, letter) as
     ``Out[p, letter] . adjacency_p(letter) <= In[p+1 mod k, letter]``: moving
     the exposed component of every cut tuple through the component automaton
-    must stay inside the next subset.  The product is computed column by
-    column on the subset's bitmask (``ProductSpace.move``), every row of Out
-    held at once in one int, so no matrix is materialized.  A violation is
-    reported as ``(p, letter, row, col)``, the first violating entry of
-    ``In[p+1 mod k, letter]`` in row-major order: col is component p, row
-    the other components in mixed radix.
+    must stay inside the next subset, which only a letter p moves on can
+    break.  The product is computed column by column on the subset's bitmask
+    (``ProductSpace.move``), all rows of Out in one int, so no matrix is
+    materialized.  A violation is reported as ``(p, letter, row, col)``, the
+    first violating entry of ``In[p+1 mod k, letter]`` in row-major order:
+    col is component p, row the other components in mixed radix.
     """
     basic = _check_cut_basics(bundle, cut)
     if basic is not None:
         return basic
     space = bundle.prepared.space
     for p, letters in enumerate(bundle.prepared.letters):
-        for letter, targets in enumerate(letters):
+        for letter, targets in letters.items():
             moved = space.move(cut.set_for(p, letter), p, targets)
             violation = moved & ~cut.set_for((p + 1) % cut.k, letter)
             if violation:

@@ -142,14 +142,14 @@ def _from_layers(bundle: InstanceBundle, closure: Closure) -> Decision:
     space, letters, layers = prepared.space, prepared.letters, closure.layers
     empty = type(closure.met)  # empty() is a new empty set in the closure's form
     k, last = len(letters), len(layers) - 1
-    moving = [letter for _, _, letter, _ in prepared.nodding[0]]
-    inverse = {a: [_inverted(component[a]) for component in letters] for a in moving}
+    moving = list(letters[0])  # the letters component 0 moves on, ascending
+    inverse = {a: [_inverted(component.get(a, {})) for component in letters] for a in moving}
 
     def petal(tuples, a: int):
         for i, component in enumerate(letters):
             if not tuples:
                 break
-            tuples = space.move(tuples, i, component[a])
+            tuples = space.move(tuples, i, component.get(a, {}))
         return tuples
 
     def back(tuples, a: int):
@@ -200,7 +200,7 @@ def _from_layers(bundle: InstanceBundle, closure: Closure) -> Decision:
     # earlier: the tuples the word reaches through a run below it so far
     run, earlier, tid = [], empty(), prepared.initial
     for t, (i, a) in enumerate(steps):
-        targets = letters[i][a]
+        targets = letters[i].get(a, {})
         earlier = space.move(earlier, i, targets) if earlier else earlier
         stride = space.strides[i]
         q = tid // stride % space.sizes[i]

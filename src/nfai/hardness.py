@@ -128,7 +128,11 @@ def random_bundle(k: int, n_states: int, n_letters: int, density: float, seed) -
 
 def random_graph(n_vertices: int, edge_prob: float, seed) -> UndirectedGraph:
     """Seeded Erdos-Renyi graph: each pair is an edge with probability
-    edge_prob, decided in lexicographic pair order."""
+    edge_prob, decided in lexicographic pair order.  Refuses the vertices,
+    then the p * n(n-1)/2 expected edges, over the state budget first."""
+    check_budget(n_vertices, f"random graph has {n_vertices} vertices")
+    edges = edge_prob * n_vertices * (n_vertices - 1) / 2
+    check_budget(edges, f"random graph expects {edges:.0f} edges")
     if not (0.0 <= edge_prob <= 1.0):
         raise ValueError("edge probability must lie in [0, 1]")
     rng = random.Random(_seed_key(seed))

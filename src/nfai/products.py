@@ -261,13 +261,13 @@ def _repeat(block: int, period: int, count: int) -> int:
 
 
 def _by_letter(a: Nfa, stride: int = 1) -> dict:
-    """Per letter s that moves, ``{q: successors of q on s, times stride}``
-    for the states q that move, each list ascending: the adjacency's own
-    tuples when the stride is 1."""
+    """Per letter s that moves, ascending, ``{q: successors of q on s, times
+    stride}`` for the states q that move, each list ascending: the adjacency's
+    own tuples when the stride is 1.  A letter with no move has no key."""
     lists: Dict[int, dict] = {}
     for (q, s), dsts in a.adjacency.items():
         lists.setdefault(s, {})[q] = dsts if stride == 1 else tuple([d * stride for d in dsts])
-    return lists
+    return dict(sorted(lists.items()))
 
 
 #: The moves on a letter that moves no state, shared; never to be mutated.
@@ -281,25 +281,24 @@ class WordRelations:
 
     ``rows[r]`` is relation r as sparse rows of bitmasks: it maps each state
     q that reaches some state to the mask with bit d set iff the relation
-    leads from q to d.  ``letters[s]`` is the id of letter s's relation, and
-    ``step[s, r]`` the id of the relation of s.u for the words u of relation
-    r; it is kept for the letters that move and every relation first reached
-    by a word shorter than k, the only ones a word of length <= k extends,
-    and a missing entry stands for relation 0, the empty relation.
-    ``moving`` lists the letters that move, ascending, and ``lists[r]`` is
-    relation r as ``{q: successor tuple}``, built on first use, one dict per
-    relation; a letter's dict stands for its relation.
+    leads from q to d.  ``letters`` maps each letter that moves, ascending,
+    to the id of its relation, and ``step[s, r]`` is the id of the relation
+    of s.u for the words u of relation r; it is kept for the letters that
+    move and every relation first reached by a word shorter than k, the only
+    ones a word of length <= k extends.  A missing letter or entry stands
+    for relation 0, the empty relation.  ``lists[r]`` is relation r as
+    ``{q: successor tuple}``, built on first use, one dict per relation; a
+    letter's dict stands for its relation.
     """
 
     rows: tuple
-    letters: tuple
+    letters: Dict[int, int]
     step: Dict[Tuple[int, int], int]
-    moving: tuple
     lists: dict
 
     def of(self, word: tuple) -> int:
         """The id of the non-empty ``word``'s relation, through ``step``."""
-        r = self.letters[word[-1]]
+        r = self.letters.get(word[-1], 0)
         for s in reversed(word[:-1]):
             r = self.step.get((s, r), 0)
         return r
@@ -311,16 +310,16 @@ class WordRelations:
         return frozenset(q for q, row in self.rows[self.of(word)].items() if row & mask) if word else finals
 
 
-def _word_relations(letters: tuple, max_len: int) -> WordRelations:
-    """Close one component's per-letter successor dicts under "prepend a
-    letter", breadth first from the letter relations up to length
-    ``max_len``: row q of s.u ORs u's rows at the successors of q on s, with
-    rows as bitmasks.  A relation is keyed by its rows in ascending state
-    order (every dict here inherits the sorted transitions' order), so it is
-    composed only at the shortest length where it first appears: the work
-    follows the distinct relations, never the l^k words, and only the
-    letters that move are composed.  No identity rows for the empty word:
-    the cost follows the transitions, not n."""
+def _word_relations(letters: dict, max_len: int) -> WordRelations:
+    """Close one component's successor dicts, keyed by the letters that
+    move, under "prepend a letter", breadth first from the letter relations
+    up to length ``max_len``: row q of s.u ORs u's rows at the successors of
+    q on s, with rows as bitmasks.  A relation is keyed by its rows in
+    ascending state order (every dict here inherits the sorted transitions'
+    order), so it is composed only at the shortest length where it first
+    appears: the work follows the distinct relations, never the l^k words.
+    No identity rows for the empty word, no slot for a letter that does not
+    move: the cost follows the transitions, not n or l."""
     rows_of: list = []
     ids: Dict[tuple, int] = {}
     fresh: list = []
@@ -335,10 +334,10 @@ def _word_relations(letters: tuple, max_len: int) -> WordRelations:
         return r
 
     bit = (1).__lshift__  # bit(d) == 1 << d; distinct bits sum to their OR
-    first = [intern({})] * len(letters)  # the empty relation is 0
-    moving = [(s, moves) for s, moves in enumerate(letters) if moves]
+    intern({})  # the empty relation is 0
+    first = {}
     lists = _Table(lambda r: {q: set_bits(row) for q, row in rows_of[r].items()})
-    for s, moves in moving:
+    for s, moves in letters.items():
         first[s] = intern({q: sum(map(bit, dsts)) for q, dsts in moves.items()})
         lists[first[s]] = moves
     step = {}
@@ -346,7 +345,7 @@ def _word_relations(letters: tuple, max_len: int) -> WordRelations:
         layer, fresh = fresh, []
         for r in layer:
             rows = rows_of[r]
-            for s, moves in moving:
+            for s, moves in letters.items():
                 out = {}
                 for q, dsts in moves.items():
                     row = 0
@@ -355,7 +354,7 @@ def _word_relations(letters: tuple, max_len: int) -> WordRelations:
                     if row:
                         out[q] = row
                 step[s, r] = intern(out)
-    return WordRelations(tuple(rows_of), tuple(first), step, tuple(s for s, _ in moving), lists)
+    return WordRelations(tuple(rows_of), first, step, lists)
 
 
 def _fired(prepared: "PreparedBundle") -> list:
@@ -365,11 +364,11 @@ def _fired(prepared: "PreparedBundle") -> list:
     relation over the step table, not listed."""
     space, fired = prepared.space, []
     for relations, n in zip(prepared.relations, space.sizes):
-        layers = [Counter(relations.letters[s] for s in relations.moving)]  # words per relation, by length
+        layers = [Counter(relations.letters.values())]  # words per relation, by length
         for _ in range(len(space.sizes) - 1):
             longer = Counter()
             for r, c in layers[-1].items():
-                for s in relations.moving:
+                for s in relations.letters:
                     longer[relations.step.get((s, r), 0)] += c
             layers.append(longer)
         pairs = [sum(map(int.bit_count, rows.values())) for rows in relations.rows]
@@ -439,9 +438,10 @@ class PreparedBundle:
 
     @cached_property
     def letters(self) -> tuple:
-        """letters[i][s]: ``{q: successors of q on s}`` in component i; the
-        letters with no move share :data:`_NO_MOVES`."""
-        return tuple(tuple(map(_by_letter(a).get, range(a.n_letters), repeat(_NO_MOVES))) for a in self.automata)
+        """letters[i]: :func:`_by_letter` of component i, ``{s: {q: successors
+        of q on s}}`` for the letters s that move, ascending; a letter with no
+        move has no key."""
+        return tuple(map(_by_letter, self.automata))
 
     @cached_property
     def relations(self) -> tuple:
@@ -642,7 +642,7 @@ class _DirectBuilder(ProductBuilder):
         super().__init__(bundle)
         self.targets = tuple(_by_letter(a, stride) for a, stride in zip(bundle.automata, self.space.strides))
         self.firsts: Dict[int, list] = {}  # per state of component 0, the (letter, targets) it moves on, ascending
-        for letter, lists in sorted(self.targets[0].items()):
+        for letter, lists in self.targets[0].items():
             for q, ids in lists.items():
                 self.firsts.setdefault(q, []).append((letter, ids))
 
@@ -669,15 +669,15 @@ class _DirectBuilder(ProductBuilder):
 def nodding_volleys(letters: tuple, copy: int, echo: bool = False) -> list:
     """The volleys leaving the nodding product's copy ``copy``, as
     ``(component, lists, label, next copy)`` over the per-component letter
-    lists ``letters``.  From the base, component 0 reads each letter it
-    moves on into copy (letter, 1); from copy (letter, j), component j moves
-    on it by epsilon (by the letter if ``echo``) into (letter, j + 1), the
-    last volley back into the base."""
+    tables ``letters``, keyed by the letters that move.  From the base,
+    component 0 reads each letter it moves on into copy (letter, 1); from
+    copy (letter, j), component j moves on it by epsilon (by the letter if
+    ``echo``) into (letter, j + 1), the last volley back into the base."""
     k = len(letters)
     if copy == 0:
-        return [(0, lists, a, nodding_copy(a, 1, k)) for a, lists in enumerate(letters[0]) if lists]
+        return [(0, lists, a, nodding_copy(a, 1, k)) for a, lists in letters[0].items()]
     a, j = nodding_tag(copy, k)
-    return [(j, letters[j][a], a if echo else EPSILON, nodding_copy(a, j + 1, k) if j < k - 1 else 0)]
+    return [(j, letters[j].get(a, _NO_MOVES), a if echo else EPSILON, nodding_copy(a, j + 1, k) if j < k - 1 else 0)]
 
 
 def nodding_copy(letter: int, j: int, k: int) -> int:
@@ -749,10 +749,10 @@ def catchup_volleys(blocks: list, relations: tuple, l: int, copy: int) -> list:
         r = relations[c].of(u) if c < len(u) else 0
         return [(c, relations[c].lists[r], u[c], 0 if block == 1 and c == k - 1 else copy + 1)] if r else []
     first, volleys = relations[0], []
-    words = [((s,), first.letters[s]) for s in first.moving]  # (w, w's relation)
+    words = [((s,), r) for s, r in first.letters.items()]  # (w, w's relation)
     for t in range(1, k + 1):
         volleys += [(0, first.lists[r], w[0], word_copy(blocks, l, 1 if t == k else 1 + t, w)) for w, r in words]
-        words = [((s,) + w, nxt) for s in first.moving for w, r in words if (nxt := first.step[s, r])] if t < k else []
+        words = [((s,) + w, nxt) for s in first.letters for w, r in words if (nxt := first.step[s, r])] if t < k else []
     return sorted(volleys, key=lambda volley: volley[2:])
 
 
@@ -797,7 +797,7 @@ def leapfrog_volleys(blocks: list, relations: tuple, l: int, copy: int) -> list:
     nxt = len(u) + 1 if len(u) + 1 < k - 1 else k - 1 + (comp + 1) % k
     start = word_copy(blocks, l, nxt, (u + (0,))[1 - k:])  # the next copy after letter 0; after a, a later
     relation = relations[comp]
-    return [(comp, relation.lists[r], a, start + a) for a in relation.moving if (r := relation.of(u + (a,)))]
+    return [(comp, relation.lists[r], a, start + a) for a in relation.letters if (r := relation.of(u + (a,)))]
 
 
 def leapfrog_accept(blocks: list, relations: tuple, finals: tuple, l: int, copy: int) -> tuple:

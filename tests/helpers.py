@@ -306,7 +306,7 @@ def direct_successors_reference(builder, sid: int) -> list:
     out = []
     for q, letter in builder.prepared.automata[0].adjacency:
         if q == comps[0]:
-            lists = [letters[i][letter].get(comps[i], ()) for i in range(builder.k)]
+            lists = [letters[i].get(letter, {}).get(comps[i], ()) for i in range(builder.k)]
             for targets in itertools.product(*lists):
                 out.append((letter, space.encode(targets)))
     out.sort()

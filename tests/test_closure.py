@@ -204,10 +204,10 @@ def test_certify_runs_the_closure_once_per_budget(monkeypatch):
 
 
 def test_letters_without_moves_share_one_table():
+    # the letters with no move cost nothing: the table holds the one that moves
     a = Nfa(2, 1000, ((0, 7, 1),), 0, frozenset({1}))
     letters = InstanceBundle((a, a)).prepared.letters[0]
-    assert letters[7] == {0: (1,)}
-    assert len({id(lists) for lists in letters}) == 2
+    assert letters == {7: {0: (1,)}}
 
 
 # --- the two forms ---------------------------------------------------------------
@@ -313,43 +313,54 @@ HUGE_ALPHABET_BUNDLE = (
     "nfa\nstates 2\nalphabet 2000000\ninitial 0\nfinal 1\ntrans 0 0 1\n"
     "---\nnfa\nstates 2\nalphabet 2000000\ninitial 0\n"
 )
+NONEMPTY = "final 1\ntrans 0 0 1\n"
+#: The declared alphabets the CLI tests run at: nothing outside a cut is
+#: sized by the alphabet, so a billion letters cost what 2,000,000 do
+ALPHABETS = (2_000_000, 1_000_000_000)
+
+
+def write_huge_alphabet_bundle(tmp_path, letters: int, tail: str = "") -> None:
+    (tmp_path / "huge.nfa").write_text(HUGE_ALPHABET_BUNDLE.replace("2000000", str(letters)) + tail)
 
 
 def test_huge_alphabet_decide_costs_its_moving_letters(tmp_path):
-    (tmp_path / "huge.nfa").write_text(HUGE_ALPHABET_BUNDLE)
-    done = capped_cli(tmp_path, "decide", "huge.nfa")
-    assert done.returncode == 1, done.stderr
-    assert done.stdout == "EMPTY\n"
-    assert "explored_states=2 explored_transitions=1" in done.stderr
+    for letters in ALPHABETS:
+        write_huge_alphabet_bundle(tmp_path, letters)
+        done = capped_cli(tmp_path, "decide", "huge.nfa")
+        assert done.returncode == 1, done.stderr
+        assert done.stdout == "EMPTY\n"
+        assert "explored_states=2 explored_transitions=1" in done.stderr
 
 
 def test_huge_alphabet_witness_costs_its_moving_letters(tmp_path):
     """A non-empty bundle: the witness run's copies are numbered without
-    building the nodding product's table of 2,000,000 petals."""
-    (tmp_path / "huge.nfa").write_text(HUGE_ALPHABET_BUNDLE + "final 1\ntrans 0 0 1\n")
-    done = capped_cli(tmp_path, "decide", "huge.nfa")
-    assert (done.returncode, done.stdout) == (0, "NONEMPTY 0\n"), done.stderr
-    assert "explored_states=3 explored_transitions=2" in done.stderr
-    assert capped_cli(tmp_path, "certify", "huge.nfa", "-o", "huge.cert").returncode == 0
-    done = capped_cli(tmp_path, "verify", "huge.nfa", "huge.cert")
-    assert (done.returncode, done.stdout) == (0, "VALID pathset\n"), done.stderr
+    building the nodding product's table of a petal per letter."""
+    for letters in ALPHABETS:
+        write_huge_alphabet_bundle(tmp_path, letters, NONEMPTY)
+        done = capped_cli(tmp_path, "decide", "huge.nfa")
+        assert (done.returncode, done.stdout) == (0, "NONEMPTY 0\n"), done.stderr
+        assert "explored_states=3 explored_transitions=2" in done.stderr
+        assert capped_cli(tmp_path, "certify", "huge.nfa", "-o", "huge.cert").returncode == 0
+        done = capped_cli(tmp_path, "verify", "huge.nfa", "huge.cert")
+        assert (done.returncode, done.stdout) == (0, "VALID pathset\n"), done.stderr
 
 
 def test_huge_alphabet_hand_back_costs_its_moving_letters(tmp_path):
     """Under a budget of 3 the 4-tuple space is over the budget, so the
     closure builds no mask and moves sets of tuple ids, filling only the
     nodding copies it reaches."""
-    (tmp_path / "huge.nfa").write_text(HUGE_ALPHABET_BUNDLE)
-    done = capped_cli(tmp_path, "decide", "huge.nfa", budget=3)
-    assert (done.returncode, done.stdout) == (1, "EMPTY\n"), done.stderr
-    assert "explored_states=2 explored_transitions=1" in done.stderr
-    (tmp_path / "huge.nfa").write_text(HUGE_ALPHABET_BUNDLE + "final 1\ntrans 0 0 1\n")
-    done = capped_cli(tmp_path, "decide", "huge.nfa", budget=3)
-    assert (done.returncode, done.stdout) == (0, "NONEMPTY 0\n"), done.stderr
-    assert "explored_states=3 explored_transitions=2" in done.stderr
-    assert capped_cli(tmp_path, "certify", "huge.nfa", "-o", "huge.cert", budget=3).returncode == 0
-    done = capped_cli(tmp_path, "verify", "huge.nfa", "huge.cert", budget=3)
-    assert (done.returncode, done.stdout) == (0, "VALID pathset\n"), done.stderr
+    for letters in ALPHABETS:
+        write_huge_alphabet_bundle(tmp_path, letters)
+        done = capped_cli(tmp_path, "decide", "huge.nfa", budget=3)
+        assert (done.returncode, done.stdout) == (1, "EMPTY\n"), done.stderr
+        assert "explored_states=2 explored_transitions=1" in done.stderr
+        write_huge_alphabet_bundle(tmp_path, letters, NONEMPTY)
+        done = capped_cli(tmp_path, "decide", "huge.nfa", budget=3)
+        assert (done.returncode, done.stdout) == (0, "NONEMPTY 0\n"), done.stderr
+        assert "explored_states=3 explored_transitions=2" in done.stderr
+        assert capped_cli(tmp_path, "certify", "huge.nfa", "-o", "huge.cert", budget=3).returncode == 0
+        done = capped_cli(tmp_path, "verify", "huge.nfa", "huge.cert", budget=3)
+        assert (done.returncode, done.stdout) == (0, "VALID pathset\n"), done.stderr
 
 
 def test_nonempty_long_chains_rebuild_from_set_layers():
@@ -386,7 +397,7 @@ def test_witness_into_a_dense_block_rebuilds_from_set_layers():
 def test_nonempty_bundle_over_the_tuple_budget_rebuilds_from_set_layers():
     """The huge-alphabet bundle made non-empty, under a budget of 3: its
     4-tuple space is over the budget, its 3 explored states are not."""
-    bundle = parse_bundle(HUGE_ALPHABET_BUNDLE + "final 1\ntrans 0 0 1\n")
+    bundle = parse_bundle(HUGE_ALPHABET_BUNDLE + NONEMPTY)
     with _budget(3):
         decided = decide_empty(bundle)
         assert _form(bundle) is set
@@ -398,13 +409,14 @@ def test_nonempty_bundle_over_the_tuple_budget_rebuilds_from_set_layers():
 @pytest.mark.parametrize("construction", CONSTRUCTIONS)
 def test_huge_alphabet_product_costs_its_moving_letters(tmp_path, construction):
     """The accessible part walks two or three states; its totals and
-    m_leq_k are computed from the moving letters, not from 2,000,000
+    m_leq_k are computed from the moving letters, not from the declared
     letters or the copies numbered by their words."""
-    (tmp_path / "huge.nfa").write_text(HUGE_ALPHABET_BUNDLE + "final 1\ntrans 0 0 1\n")
-    done = capped_cli(tmp_path, "product", "--construction", construction, "huge.nfa", "-o", "huge.out")
-    assert done.returncode == 0, done.stderr
     states, transitions = (3, 2) if construction in ("nodding", "echoing") else (2, 1)
-    assert done.stderr.endswith(f"\n{construction},2,2000000,2,1,{states},{transitions},2\n")
+    for letters in ALPHABETS:
+        write_huge_alphabet_bundle(tmp_path, letters, NONEMPTY)
+        done = capped_cli(tmp_path, "product", "--construction", construction, "huge.nfa", "-o", "huge.out")
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.endswith(f"\n{construction},2,{letters},2,1,{states},{transitions},2\n")
 
 
 def test_wide_alphabet_full_direct_product_costs_its_moving_letters(tmp_path):

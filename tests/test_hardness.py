@@ -182,6 +182,15 @@ def test_random_graph_deterministic_and_bounds():
     assert random_graph(6, 1.0, 7) == complete_graph(6)
 
 
+def test_random_graph_refuses_its_vertices_then_its_expected_edges_over_the_state_budget(monkeypatch):
+    monkeypatch.setenv("NFAI_STATE_BUDGET", "1000")
+    assert random_graph(1000, 0.002, 1).n_vertices == 1000  # 999 expected edges
+    with pytest.raises(BudgetExceeded, match="^random graph has 1001 vertices, over the state budget of 1000$"):
+        random_graph(1001, 0.5, 1)
+    with pytest.raises(BudgetExceeded, match="^random graph expects 4995 edges, over the state budget of 1000$"):
+        random_graph(1000, 0.01, 1)
+
+
 # --- graph files --------------------------------------------------------------------
 
 def test_graph_roundtrip():

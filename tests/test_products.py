@@ -11,6 +11,7 @@ from nfai.oracle import BundleAcceptor, DetAcceptor, StutterAcceptor, difference
 from nfai.products import (
     CONSTRUCTIONS,
     SIZE_BOUNDS,
+    _NO_MOVES,
     BudgetExceeded,
     ProductSpace,
     accessible_part,
@@ -229,7 +230,7 @@ def test_m_leq_k_holds_one_table_at_a_time(monkeypatch):
     bundle = random_bundle(3, 3, 30, 0.1, "once")
     stats, _ = accessible_stats("nodding", bundle)
     assert list(map(id, calls)) == list(map(id, bundle.prepared.letters))
-    assert all(len(r.lists) == len({r.letters[s] for s in r.moving}) for r in bundle.prepared.relations)
+    assert all(len(r.lists) == len(set(r.letters.values())) for r in bundle.prepared.relations)
     assert stats.m_leq_k == m_leq_k(bundle) and len(calls) == bundle.k
     n_words = sum(30 ** length for length in range(1, 4))
     assert all(len(r.rows) < n_words // 100 for r in bundle.prepared.relations)
@@ -334,7 +335,7 @@ def test_nodding_copy_count():
             assert nodding_copy(letter, j, k) == copy
             [(comp, lists, label, nxt)] = builder.moves[copy]
             assert (comp, label, nxt) == (j, EPSILON, nodding_copy(letter, j + 1, k) if j < k - 1 else 0)
-            assert lists is bundle.prepared.letters[j][letter]
+            assert lists is bundle.prepared.letters[j].get(letter, _NO_MOVES)
 
 
 def test_nodding_size_bounds():
