@@ -47,7 +47,6 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import repeat
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .automata import EPSILON, EpsilonNfa, InstanceBundle, Nfa
@@ -579,9 +578,11 @@ class ProductBuilder:
     that move), the other components stay, and the tuple lands in the next
     copy.  ``accept[t]`` gives the states, per component, that a final tuple
     of copy t needs, or None when it never accepts.  Both are filled on
-    first lookup.  A copy's volleys come in label order, ties by next copy,
-    so successors come out by label, then target id, unsorted.  Search,
-    materialization and statistics all read this one table.
+    first lookup.  A copy's volleys come in label order, ties by next copy;
+    each volley that moves a state gives one successor group, its label and
+    its target ids ascending, so successors come out by label, then target
+    id, unsorted.  Search, materialization and statistics all read this one
+    table.
     """
 
     construction: str = ""
@@ -597,19 +598,24 @@ class ProductBuilder:
         self.initial = self.prepared.initial  # copy 0 starts the id space
         self.accept = _Table({0: self.finals}.get)
 
-    def successors(self, sid: int) -> list:
+    def successor_groups(self, sid: int) -> list:
+        """The successors of ``sid`` as ``(label, ids)`` groups, one per
+        volley that moves its state, each ``ids`` a list ascending."""
         space = self.space
         base = space.base_size
         tag, rest = divmod(sid, base)
-        out = []
+        groups = []
         for comp, lists, label, nxt in self.moves[tag]:
             stride = space.strides[comp]
             q = rest // stride % self.sizes[comp]
             if q in lists:
                 offset = nxt * base + rest - q * stride
-                for dst in lists[q]:
-                    out.append((label, offset + dst * stride))
-        return out
+                groups.append((label, [offset + d * stride for d in lists[q]]))
+        return groups
+
+    def successors(self, sid: int) -> list:
+        """The ``(label, id)`` pairs of :meth:`successor_groups`, in order."""
+        return [(label, dst) for label, ids in self.successor_groups(sid) for dst in ids]
 
     def is_final(self, sid: int) -> bool:
         space = self.space
@@ -633,8 +639,8 @@ class _DirectBuilder(ProductBuilder):
     i's stride, ascending; the letters that move in component i are its
     only keys.  A successor id is then one sum per component, and summing
     with the more significant component's targets in the outer loop yields
-    each letter's ids ascending: the list comes out in (label, id) order,
-    without a sort."""
+    each letter's ids ascending, without a sort: one successor group per
+    letter that moves every component, in letter order."""
 
     construction = "direct"
 
@@ -646,9 +652,9 @@ class _DirectBuilder(ProductBuilder):
             for q, ids in lists.items():
                 self.firsts.setdefault(q, []).append((letter, ids))
 
-    def successors(self, sid: int) -> list:
+    def successor_groups(self, sid: int) -> list:
         states = [sid // stride % n for stride, n in zip(self.space.strides, self.sizes)]
-        out = []
+        groups = []
         for letter, ids in self.firsts.get(states[0], ()):
             for i in range(1, self.k):
                 offsets = self.targets[i].get(letter, _NO_MOVES).get(states[i])
@@ -656,8 +662,8 @@ class _DirectBuilder(ProductBuilder):
                     break
                 ids = [a + b for a in offsets for b in ids]
             else:
-                out += zip(repeat(letter), ids)
-        return out
+                groups.append((letter, ids))
+        return groups
 
     def total_transitions(self) -> int:
         return sum(
@@ -913,21 +919,24 @@ def materialize(construction: str, bundle: InstanceBundle):
 
 def reachable(builder: ProductBuilder):
     """Breadth-first walk of the accessible part: yields ``(sid,
-    builder.successors(sid))`` for every accessible state in discovery order,
-    each before its successors are discovered.  Raises BudgetExceeded on the
-    first new state beyond ``state_budget()``."""
+    builder.successor_groups(sid))`` for every accessible state in discovery
+    order, each before its successors are discovered.  A group's ids are
+    ascending, so each is distinct, and its unseen ones are found by one
+    comprehension and discovered in order.  Raises BudgetExceeded, after
+    yielding a state, at the first of its groups that takes the states
+    discovered beyond ``state_budget()``."""
     limit = state_budget()
     seen = {builder.initial}
     order = [builder.initial]  # the discovery list doubles as the queue
     for sid in order:
-        successors = builder.successors(sid)
-        yield sid, successors
-        for (_, dst) in successors:
-            if dst not in seen:
-                if len(seen) >= limit:
-                    raise BudgetExceeded.exploring(builder.construction, limit)
-                seen.add(dst)
-                order.append(dst)
+        groups = builder.successor_groups(sid)
+        yield sid, groups
+        for _, ids in groups:
+            new = [d for d in ids if d not in seen]
+            if len(seen) + len(new) > limit:
+                raise BudgetExceeded.exploring(builder.construction, limit)
+            seen.update(new)
+            order += new
 
 
 def _stats(builder: ProductBuilder, bundle: InstanceBundle, states_acc: int, trans_acc: int) -> SparsityStats:
@@ -947,20 +956,21 @@ def _stats(builder: ProductBuilder, bundle: InstanceBundle, states_acc: int, tra
 
 def accessible_part(construction: str, bundle: InstanceBundle) -> Tuple[Union[Nfa, EpsilonNfa], SparsityStats]:
     """Breadth-first search from the initial state, generating successors
-    lazily; unreachable states are never touched.  Returns the reachable
-    sub-automaton (states renumbered in discovery order, initial = 0) and
-    size statistics."""
+    lazily, a group at a time; unreachable states are never touched.
+    Returns the reachable sub-automaton (states renumbered in discovery
+    order, initial = 0) and size statistics."""
     builder = builder_for(construction, bundle)
-    # the core discovers states in the order their successor lists are
+    # the core discovers states in the order their successor groups are
     # yielded, so numbering each target on first sight reproduces its order
     index = {builder.initial: 0}
     transitions = []
-    for src, (_, successors) in enumerate(reachable(builder)):
-        for (label, dst) in successors:
-            target = index.get(dst)
-            if target is None:
-                target = index[dst] = len(index)
-            transitions.append((src, label, target))
+    for src, (_, groups) in enumerate(reachable(builder)):
+        for label, ids in groups:
+            for dst in ids:
+                target = index.get(dst)
+                if target is None:
+                    target = index[dst] = len(index)
+                transitions.append((src, label, target))
     finals = frozenset(i for sid, i in index.items() if builder.is_final(sid))
     cls = EpsilonNfa if builder.epsilon else Nfa
     automaton = cls(len(index), builder.n_letters, tuple(transitions), 0, finals)
@@ -975,12 +985,13 @@ def accessible_stats(construction: str, bundle: InstanceBundle) -> Tuple[Sparsit
     their builders' copy tables: each state is in one front, and each move
     count is the sum of its members' successor lists, so the counts are the
     walk's.  ``direct``, the baseline the sparse sizes are compared with, is
-    counted by the ``reachable`` walk, one successor list at a time, each
-    list one sum of stride-scaled targets per transition, generated in
-    (label, id) order.  Both raise BudgetExceeded in the same cases."""
+    counted by the ``reachable`` walk, one successor group per letter, each
+    group one sum of stride-scaled targets per transition, ascending; its
+    transitions are the groups' lengths added up.  Both raise BudgetExceeded
+    in the same cases."""
     builder = builder_for(construction, bundle)
     if construction == "direct":
-        visits = [(sid, len(successors)) for sid, successors in reachable(builder)]
+        visits = [(sid, sum(len(ids) for _, ids in groups)) for sid, groups in reachable(builder)]
         states, transitions = len(visits), sum(n for _, n in visits)
         nonempty = any(builder.is_final(sid) for sid, _ in visits)
     else:

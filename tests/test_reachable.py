@@ -7,7 +7,9 @@ constructions, and ``extract_staggered_cut`` on the nodding product.  The
 bitmask closure behind ``accessible_stats`` on the four sparse
 constructions, ``products.close_table`` on each builder's copy table, is
 also compared with the ``reachable`` walk: on Hypothesis bundles, in each
-of its two forms forced, and at the state budget's boundary.
+of its two forms forced, and at the state budget's boundary.  The walk
+reads each builder's successor groups, whose pairs in order are its
+``successors``.
 """
 
 from collections import deque
@@ -119,17 +121,30 @@ def test_reachable_yields_discovery_order_with_successors():
     order, _, _ = _explore_reference(builder)
     visits = list(reachable(builder))
     assert [sid for sid, _ in visits] == order
-    assert all(successors == builder.successors(sid) for sid, successors in visits)
+    assert all(groups == builder.successor_groups(sid) for sid, groups in visits)
+
+
+@settings(deadline=None)
+@given(bundles(max_k=3))
+def test_successors_expand_the_ascending_successor_groups(bundle):
+    for construction in CONSTRUCTIONS:
+        builder = builder_for(construction, bundle)
+        for sid in range(builder.total_states()):
+            groups = builder.successor_groups(sid)
+            assert builder.successors(sid) == [(label, d) for label, ids in groups for d in ids], (construction, sid)
+            assert all(a < b for _, ids in groups for a, b in zip(ids, ids[1:])), (construction, sid)
 
 
 def test_reachable_budget_boundary(monkeypatch):
-    builder = builder_for("nodding", complete_empty_bundle())
-    accessible = len(list(reachable(builder)))
-    monkeypatch.setenv("NFAI_STATE_BUDGET", str(accessible))
-    assert len(list(reachable(builder))) == accessible
-    monkeypatch.setenv("NFAI_STATE_BUDGET", str(accessible - 1))
-    with pytest.raises(BudgetExceeded):
-        list(reachable(builder))
+    for construction in CONSTRUCTIONS:
+        builder = builder_for(construction, complete_empty_bundle())
+        accessible = len(list(reachable(builder)))
+        monkeypatch.setenv("NFAI_STATE_BUDGET", str(accessible))
+        assert len(list(reachable(builder))) == accessible, construction
+        monkeypatch.setenv("NFAI_STATE_BUDGET", str(accessible - 1))
+        with pytest.raises(BudgetExceeded):
+            list(reachable(builder))
+        monkeypatch.delenv("NFAI_STATE_BUDGET")
 
 
 def test_reachable_yields_a_state_before_expanding_it(monkeypatch):
@@ -156,7 +171,7 @@ def _closure(construction, bundle):
 def _walk_stats(construction, bundle):
     """``accessible_stats`` by the ``reachable`` walk alone."""
     builder = builder_for(construction, bundle)
-    visits = [(sid, len(successors)) for sid, successors in reachable(builder)]
+    visits = [(sid, sum(len(ids) for _, ids in groups)) for sid, groups in reachable(builder)]
     nonempty = any(builder.is_final(sid) for sid, _ in visits)
     return _stats(builder, bundle, len(visits), sum(n for _, n in visits)), nonempty
 
