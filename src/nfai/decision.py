@@ -2,8 +2,8 @@
 construction.
 
 The default decider works on the nodding product, whose accessible part is
-the sparsest of the constructions; the direct-product decider exists as the
-baseline the benchmarks compare against.
+the sparsest of the constructions; the direct-product baseline walks the
+direct product's accessible part with ``products.reachable``.
 
 One closure decides both outcomes.  The closure of the nodding table
 (``PreparedBundle.closure``, on ``products.close_table``) holds each set of
@@ -12,15 +12,13 @@ bitmask once they are dense, and grows the base copy a letter layer at a
 time, each tuple kept in the first layer that reaches it, until a layer
 meets a final tuple.  On an empty instance it alone gives the answer and
 both counters.  On a non-empty one, ``_from_layers`` reads the witness run
-and the counters off copy 0's layers, in either form.  The run is the one a
-breadth-first search with word-sorted layers returns: as short as possible,
-which the certificate layer relies on, and the lexicographically least
-among the shortest, matching the oracle, with ties between runs on one word
-broken by state ids.
-
-The list engine, ``_search``, is that search, one state at a time.  It
-decides on the direct product for the baseline, and is the reference the
-closure's Decisions are tested against.
+and the counters off copy 0's layers, in either form.  The run is as short
+as possible, which the certificate layer relies on, and the
+lexicographically least among the shortest, matching the oracle, with ties
+between runs on one word broken by state ids; the counters are those a
+breadth-first search with word-sorted layers reports.  ``tests/helpers.py``
+keeps that search, one state at a time, as the reference the Decisions are
+tested against.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from typing import Optional
 
 from .automata import EPSILON, InstanceBundle, Word
 from .products import (
-    BudgetExceeded, Closure, ProductBuilder, builder_for, nodding_copy, state_budget,
+    BudgetExceeded, Closure, builder_for, nodding_copy, reachable, state_budget,
 )
 
 
@@ -55,64 +53,6 @@ def witness_word(decision: Decision) -> Word:
     return tuple(label for (_, label, _) in decision.witness_run if label != EPSILON)
 
 
-def _witness(parents, final_sid) -> tuple:
-    steps = []
-    node = final_sid
-    while parents[node] is not None:
-        prev, lab = parents[node]
-        steps.append((prev, lab, node))
-        node = prev
-    steps.reverse()
-    return tuple(steps)
-
-
-def _search(builder: ProductBuilder) -> Decision:
-    """Layered BFS keeping each layer sorted by the word spelled so far.
-
-    Several product states can spell the same prefix; expanding them in plain
-    queue order would interleave their next letters and lose the
-    lexicographic tie-break.  Instead, every layer is processed as buckets
-    keyed by (prefix group, consumed label): discovering states bucket by
-    bucket keeps the next layer word-sorted, so the first final state found
-    is reached by the lexicographically least among the shortest witnesses,
-    matching the brute-force oracle's tie-break exactly.
-
-    Raises BudgetExceeded when more states than ``state_budget()`` would
-    be discovered.
-    """
-    is_final = builder.is_final
-    limit = state_budget()
-    initial = builder.initial
-    if is_final(initial):
-        return Decision(False, (), 1, 0)
-    parents = {initial: None}
-    explored_transitions = 0
-    layer = [(0, initial)]
-    while layer:
-        buckets = {}
-        for (group, sid) in layer:
-            for (label, dst) in builder.successors(sid):
-                explored_transitions += 1
-                if dst in parents:
-                    continue
-                buckets.setdefault((group, label), []).append((sid, label, dst))
-        layer = []
-        groups = {}
-        for key in sorted(buckets):
-            for (src, label, dst) in buckets[key]:
-                if dst in parents:
-                    continue
-                if len(parents) >= limit:
-                    raise BudgetExceeded.exploring(builder.construction, limit)
-                parents[dst] = (src, label)
-                if is_final(dst):
-                    return Decision(
-                        False, _witness(parents, dst), len(parents), explored_transitions
-                    )
-                layer.append((groups.setdefault(key, len(groups)), dst))
-    return Decision(True, None, len(parents), explored_transitions)
-
-
 def _inverted(lists: dict) -> dict:
     """``{d: states moving to d}`` from ``{q: states q moves to}``."""
     out: dict = {}
@@ -123,20 +63,22 @@ def _inverted(lists: dict) -> dict:
 
 
 def _from_layers(bundle: InstanceBundle, closure: Closure) -> Decision:
-    """The Decision ``_search`` returns on a non-empty instance, read off the
-    nodding closure's base layers, one per letter layer.
+    """The Decision on a non-empty instance, read off the nodding closure's
+    base layers, one per letter layer.
 
-    ``_search`` returns the least shortest accepting run, ordered first by
-    the word it spells and then by its state ids from the start.  It counts
-    every state nearer than the last layer, then the last layer's base
-    tuples it meets up to that run's final one: those whose least word is
-    below the witness word W, then those that W reaches through a run below
-    the witness run.  Sets co-reachable from the final tuples, computed
+    Its run is the least shortest accepting run, ordered first by the word
+    it spells and then by its state ids from the start.  Its counts are
+    those a breadth-first search with word-sorted layers reports on meeting
+    that run's final state (the reference in ``tests/helpers.py``): every
+    state nearer than the last layer, then the last layer's base tuples
+    met up to that run's final one: those whose least word is below the
+    witness word W, then those that W reaches through a run below the
+    witness run.  Sets co-reachable from the final tuples, computed
     backwards, let W be taken greedily forwards; the same forward pass
     collects the tuples of least word below W, and a walk along W alone
     fixes the run and the tuples below it.  A shortest run passes through
     each layer in turn, so every base set is cut to its layer.  Raises
-    BudgetExceeded when ``_search`` would.
+    BudgetExceeded when that search would.
     """
     prepared = bundle.prepared
     space, letters, layers = prepared.space, prepared.letters, closure.layers
@@ -225,9 +167,11 @@ def decide_empty(bundle: InstanceBundle) -> Decision:
     The closure of the nodding table decides.  If it closes the accessible
     part without meeting a final tuple, the instance is empty and the
     closure's counts are the Decision's; otherwise the witness run and the
-    counts come from its letter layers.  The Decision is the one the
-    breadth-first search ``_search`` returns, and BudgetExceeded is raised
-    exactly when ``_search`` would raise it.
+    counts come from its letter layers.  The run is the least shortest
+    accepting run and the counts are those a breadth-first search with
+    word-sorted layers reports; BudgetExceeded is raised exactly when that
+    search would raise it.  ``tests/helpers.py`` keeps the search as the
+    reference.
     """
     closure = bundle.prepared.closure()
     if not closure.met:
@@ -236,6 +180,26 @@ def decide_empty(bundle: InstanceBundle) -> Decision:
 
 
 def decide_direct_baseline(bundle: InstanceBundle) -> Decision:
-    """Same answer via the direct product's accessible part; kept as the
-    baseline for benchmark comparisons."""
-    return _search(builder_for("direct", bundle))
+    """Same answer by the ``products.reachable`` walk of the direct product.
+
+    The run leads to the first final state the walk visits: shortest, but
+    among the shortest not always the least.  The counts are the states
+    discovered and the transitions of the states visited before it; on an
+    empty instance, the whole accessible part.  Raises BudgetExceeded when
+    the walk would discover more than ``state_budget()`` states."""
+    builder = builder_for("direct", bundle)
+    parents = {builder.initial: None}  # first-seen (parent, label) per state
+    transitions = 0
+    for sid, groups in reachable(builder):
+        if builder.is_final(sid):
+            run = []
+            while parents[sid] is not None:
+                prev, label = parents[sid]
+                run.append((prev, label, sid))
+                sid = prev
+            return Decision(False, tuple(reversed(run)), len(parents), transitions)
+        for label, ids in groups:
+            transitions += len(ids)
+            for dst in ids:
+                parents.setdefault(dst, (sid, label))
+    return Decision(True, None, len(parents), transitions)

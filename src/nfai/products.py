@@ -32,8 +32,8 @@ than sets would have.  On a builder's table it gives
 the accessible sizes and finality behind ``accessible_stats``.  On the
 nodding table of the prepared bundle, stopped at the first base layer that
 meets a final tuple, a single forward pass decides both outcomes: it counts
-what the list search would explore, and copy 0's layers hold what the
-decision needs to rebuild the witness run.
+what a breadth-first search with word-sorted layers would explore, and copy
+0's layers hold what the decision needs to rebuild the witness run.
 
 All constructions share a mixed-radix state encoding with the copy number
 most significant and component 0 least significant, so tuples of copy 0
@@ -426,8 +426,8 @@ class PreparedBundle:
     def nodding(self) -> Dict[int, list]:
         """The nodding product's copy table, ``{copy: nodding_volleys(letters,
         copy)}``, numbered by :func:`nodding_copy` and filled on first lookup:
-        the closure, the list search and the walk build only the copies they
-        reach, so a bundle declaring many letters costs only its moving ones."""
+        the closure and the walk build only the copies they reach, so a
+        bundle declaring many letters costs only its moving ones."""
         return _Table(partial(nodding_volleys, self.letters))
 
     @cached_property

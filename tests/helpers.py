@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 import nfai
 from nfai.automata import InstanceBundle, Nfa, accepts
 from nfai.certificates import CERT_MAGIC, ShortPathset, StaggeredCut
+from nfai.decision import Decision
 from nfai.fileformat import FormatError
 from nfai.hardness import UndirectedGraph, _seed_key, random_bundle
-from nfai.products import builder_for, nodding_copy, reachable
+from nfai.products import BudgetExceeded, ProductBuilder, builder_for, nodding_copy, reachable, state_budget
 from nfai.relations import MultiTapeAutomaton, multitape_accepts
 
 
@@ -292,6 +293,64 @@ def cut_by_walk(bundle: InstanceBundle) -> StaggeredCut:
     masks = {tag: space.mask_of(tids) for tag, tids in members.items()}
     volleys = [masks.get(nodding_copy(letter, i, k), 0) for i in range(1, k) for letter in range(l)]
     return StaggeredCut(l, space.sizes, tuple([masks[0]] * l + volleys))
+
+
+def _witness(parents, final_sid) -> tuple:
+    steps = []
+    node = final_sid
+    while parents[node] is not None:
+        prev, lab = parents[node]
+        steps.append((prev, lab, node))
+        node = prev
+    steps.reverse()
+    return tuple(steps)
+
+
+def _search(builder: ProductBuilder) -> Decision:
+    """Layered BFS keeping each layer sorted by the word spelled so far.
+
+    Several product states can spell the same prefix; expanding them in plain
+    queue order would interleave their next letters and lose the
+    lexicographic tie-break.  Instead, every layer is processed as buckets
+    keyed by (prefix group, consumed label): discovering states bucket by
+    bucket keeps the next layer word-sorted, so the first final state found
+    is reached by the lexicographically least among the shortest witnesses,
+    matching the brute-force oracle's tie-break exactly.
+
+    Raises BudgetExceeded when more states than ``state_budget()`` would
+    be discovered.
+    """
+    is_final = builder.is_final
+    limit = state_budget()
+    initial = builder.initial
+    if is_final(initial):
+        return Decision(False, (), 1, 0)
+    parents = {initial: None}
+    explored_transitions = 0
+    layer = [(0, initial)]
+    while layer:
+        buckets = {}
+        for (group, sid) in layer:
+            for (label, dst) in builder.successors(sid):
+                explored_transitions += 1
+                if dst in parents:
+                    continue
+                buckets.setdefault((group, label), []).append((sid, label, dst))
+        layer = []
+        groups = {}
+        for key in sorted(buckets):
+            for (src, label, dst) in buckets[key]:
+                if dst in parents:
+                    continue
+                if len(parents) >= limit:
+                    raise BudgetExceeded.exploring(builder.construction, limit)
+                parents[dst] = (src, label)
+                if is_final(dst):
+                    return Decision(
+                        False, _witness(parents, dst), len(parents), explored_transitions
+                    )
+                layer.append((groups.setdefault(key, len(groups)), dst))
+    return Decision(True, None, len(parents), explored_transitions)
 
 
 def direct_successors_reference(builder, sid: int) -> list:

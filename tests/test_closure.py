@@ -1,6 +1,6 @@
 """The closure of the nodding table, ``PreparedBundle.closure`` on
 ``products.close_table``, against the list engines it stands in for:
-``decision._search`` for whole Decisions, witness runs included, the
+``helpers._search`` for whole Decisions, witness runs included, the
 reference walk ``helpers.cut_by_walk`` for every cut subset, and both for
 the state budget.  Its two forms, sets of tuple ids and bitmasks, are each
 forced through ``products.SET_STEP_WORDS`` and checked on bundles whose tuple
@@ -19,12 +19,12 @@ from hypothesis import given, settings
 from nfai import products
 from nfai.automata import InstanceBundle, Nfa
 from nfai.certificates import extract_short_pathset, extract_staggered_cut, verify_short_pathset
-from nfai.decision import _search, decide_empty, witness_word
+from nfai.decision import decide_empty, witness_word
 from nfai.fileformat import parse_bundle
 from nfai.hardness import clique_bundle, random_graph
 from nfai.products import CONSTRUCTIONS, BudgetExceeded, accessible_stats, builder_for
 
-from helpers import acceptance_corpus, bundles, capped_cli, chains, cut_by_walk
+from helpers import _search, acceptance_corpus, bundles, capped_cli, chains, cut_by_walk
 
 #: ``products.SET_STEP_WORDS`` values that force sets of tuple ids at every
 #: level, and bitmasks from the first level that moves, where the tuple space

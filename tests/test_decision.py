@@ -1,15 +1,19 @@
+from itertools import groupby
+from operator import itemgetter
+
 import pytest
+from hypothesis import given, settings
 
 from nfai.automata import InstanceBundle, Nfa, accepts, run_is_accepting, validate_run
 from nfai.decision import decide_direct_baseline, decide_empty, witness_word
 from nfai.hardness import clique_bundle, random_bundle
 from nfai.oracle import bounded_intersection_witness
 from nfai import products
-from nfai.products import BudgetExceeded, materialize
+from nfai.products import BudgetExceeded, builder_for, materialize
 
 from helpers import (
-    EXAMPLE_CLIQUE_WORD, acceptance_corpus, complete_empty_bundle, direct_successors_reference,
-    example_clique_graph,
+    EXAMPLE_CLIQUE_WORD, _search, acceptance_corpus, bundles, complete_empty_bundle,
+    direct_successors_reference, example_clique_graph,
 )
 
 
@@ -91,13 +95,58 @@ def test_dense_exploration_counts():
     assert direct.explored_transitions > nodding.explored_transitions
 
 
+def _reference_groups(builder, sid: int) -> list:
+    """``direct_successors_reference`` as successor groups: one ``(letter,
+    ascending ids)`` entry per letter, in letter order."""
+    pairs = direct_successors_reference(builder, sid)
+    return [(letter, [dst for _, dst in group]) for letter, group in groupby(pairs, key=itemgetter(0))]
+
+
 def test_direct_baseline_decides_as_on_the_reference_successors(monkeypatch):
     # the same Decision, witness run and counts included, on the acceptance
     # corpus as with the itertools.product successors it replaced
     corpus = [bundle for _, bundle in acceptance_corpus()]
     decisions = [decide_direct_baseline(bundle) for bundle in corpus]
-    monkeypatch.setattr(products._DirectBuilder, "successors", direct_successors_reference)
+    monkeypatch.setattr(products._DirectBuilder, "successor_groups", _reference_groups)
     assert [decide_direct_baseline(bundle) for bundle in corpus] == decisions
+
+
+def _check_baseline_against_search(bundle):
+    """The reachable walk against the word-sorted search it replaced, both on
+    the direct product: the same answer, both counts when empty, and a valid
+    accepting run as short as the search's when not; the walk passes a
+    budget of its own state count and refuses one below it."""
+    walked = decide_direct_baseline(bundle)
+    reference = _search(builder_for("direct", bundle))
+    assert walked.empty == reference.empty
+    if walked.empty:
+        assert walked == reference
+    else:
+        product = materialize("direct", bundle)
+        word = validate_run(product, walked.witness_run)
+        assert isinstance(word, tuple) and run_is_accepting(product, walked.witness_run)
+        assert len(walked.witness_run) == len(reference.witness_run)
+        assert word == witness_word(walked)
+        assert all(accepts(a, word) for a in bundle.automata)
+    explored = walked.explored_states
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("NFAI_STATE_BUDGET", str(explored))
+        assert decide_direct_baseline(bundle) == walked
+        if explored > 1:  # the initial state is let in at any budget
+            patch.setenv("NFAI_STATE_BUDGET", str(explored - 1))
+            with pytest.raises(BudgetExceeded):
+                decide_direct_baseline(bundle)
+
+
+def test_direct_baseline_walk_against_the_search_on_the_corpus():
+    for _, bundle in acceptance_corpus():
+        _check_baseline_against_search(bundle)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bundles(max_k=3))
+def test_direct_baseline_walk_against_the_search_on_random_bundles(bundle):
+    _check_baseline_against_search(bundle)
 
 
 def test_baseline_empty_when_finals_missing():
