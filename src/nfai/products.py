@@ -282,10 +282,11 @@ class WordRelations:
     q that reaches some state to the mask with bit d set iff the relation
     leads from q to d.  ``letters`` maps each letter that moves, ascending,
     to the id of its relation, and ``step[s, r]`` is the id of the relation
-    of s.u for the words u of relation r; it is kept for the letters that
-    move and every relation first reached by a word shorter than k, the only
-    ones a word of length <= k extends.  A missing letter or entry stands
-    for relation 0, the empty relation.  ``lists[r]`` is relation r as
+    of s.u for the words u of relation r; it is kept for every non-empty
+    relation r first reached by a word shorter than k, the only ones a word
+    of length <= k extends, and only where s.u's relation is not empty.  A
+    missing letter or entry stands for relation 0, the empty relation, so
+    read ``step`` with ``get``.  ``lists[r]`` is relation r as
     ``{q: successor tuple}``, built on first use, one dict per relation; a
     letter's dict stands for its relation.
     """
@@ -309,6 +310,18 @@ class WordRelations:
         return frozenset(q for q, row in self.rows[self.of(word)].items() if row & mask) if word else finals
 
 
+#: The word-relation closure's choice per fresh relation r: push r's rows
+#: back through the moves that enter them when this many times r's row count
+#: is below the number of states that some move enters; else pull each
+#: letter's moves through r.  On the seed-7 benchmark bundles (2-vCPU VM,
+#: Python 3.11, medians of 41 interleaved calls) the rule cost what pushing
+#: every relation cost on the products sparse-k4 and clique k4-product
+#: bundles, whose relations have 2-3 rows, where pulling every relation cost
+#: 15-30% more; on the dense separation and parity-split bundles it cost
+#: what pulling cost, where pushing every relation cost 2.1-2.4x as much.
+PUSH_ROWS = 2
+
+
 def _word_relations(letters: dict, max_len: int) -> WordRelations:
     """Close one component's successor dicts, keyed by the letters that
     move, under "prepend a letter", breadth first from the letter relations
@@ -317,10 +330,19 @@ def _word_relations(letters: dict, max_len: int) -> WordRelations:
     ascending state order (every dict here inherits the sorted transitions'
     order), so it is composed only at the shortest length where it first
     appears: the work follows the distinct relations, never the l^k words.
-    No identity rows for the empty word, no slot for a letter that does not
-    move: the cost follows the transitions, not n or l."""
-    rows_of: list = []
-    ids: Dict[tuple, int] = {}
+
+    A relation with few rows is pushed: each row d is ORed into row q of s.u
+    for the moves q -s-> d that enter it, read off predecessor lists built on
+    the first push, so only the letters whose moves enter u's rows are
+    composed.  A wide one is pulled letter by letter, skipping the letters
+    whose moves enter none of its rows (``PUSH_ROWS`` picks).  Either way a
+    relation's new relations are interned by ascending letter, so the ids do
+    not depend on the choice, and the empty relation 0 is never composed nor
+    kept in ``step``.  No identity rows for the empty word, no slot for a
+    letter that does not move: the cost follows the transitions, not n or
+    l."""
+    rows_of: list = [{}]  # the empty relation is 0
+    ids: Dict[tuple, int] = {((), ()): 0}
     fresh: list = []
 
     def intern(rows: dict) -> int:
@@ -333,25 +355,51 @@ def _word_relations(letters: dict, max_len: int) -> WordRelations:
         return r
 
     bit = (1).__lshift__  # bit(d) == 1 << d; distinct bits sum to their OR
-    intern({})  # the empty relation is 0
     first = {}
     lists = _Table(lambda r: {q: set_bits(row) for q, row in rows_of[r].items()})
     for s, moves in letters.items():
         first[s] = intern({q: sum(map(bit, dsts)) for q, dsts in moves.items()})
         lists[first[s]] = moves
+    targets = {s: {d for dsts in moves.values() for d in dsts} for s, moves in letters.items()}
+    entered = len(set().union(*targets.values()))
+    sole = {s: {q: d for q, (d,) in moves.items()} for s, moves in letters.items()
+            if all(len(dsts) == 1 for dsts in moves.values())}  # the letters with one successor per state
+    preds: Optional[dict] = None  # preds[d]: the moves (s, q) that enter d, by letter then state
     step = {}
     for _ in range(max_len - 1):
         layer, fresh = fresh, []
         for r in layer:
             rows = rows_of[r]
-            for s, moves in letters.items():
-                out = {}
-                for q, dsts in moves.items():
-                    row = 0
-                    for d in dsts:
-                        row |= rows.get(d, 0)
-                    if row:
-                        out[q] = row
+            if PUSH_ROWS * len(rows) < entered:
+                if preds is None:
+                    preds = {}
+                    for s, moves in letters.items():
+                        for q, dsts in moves.items():
+                            for d in dsts:
+                                preds.setdefault(d, []).append((s, q))
+                hits = {}
+                for d, row in rows.items():
+                    for move in preds.get(d, ()):
+                        hits[move] = hits.get(move, 0) | row
+                outs: dict = {}
+                for s, q in sorted(hits):
+                    outs.setdefault(s, {})[q] = hits[s, q]
+            else:
+                outs = {}
+                for s, moves in letters.items():
+                    if rows.keys().isdisjoint(targets[s]):
+                        continue
+                    if s in sole:
+                        outs[s] = {q: rows[d] for q, d in sole[s].items() if d in rows}
+                        continue
+                    outs[s] = out = {}
+                    for q, dsts in moves.items():
+                        row = 0
+                        for d in dsts:
+                            row |= rows.get(d, 0)
+                        if row:
+                            out[q] = row
+            for s, out in outs.items():
                 step[s, r] = intern(out)
     return WordRelations(tuple(rows_of), first, step, lists)
 
@@ -380,8 +428,9 @@ def m_leq_k(bundle: InstanceBundle) -> int:
     words of length <= k, as a count of (source, target) pairs; never
     exceeds n^2.  The maximum is taken over each component's distinct
     relations, its transition monoid truncated at length k
-    (``PreparedBundle.relations``), so no table per word is built.  The
-    empty word's n pairs are counted, not built."""
+    (``PreparedBundle.relations``), so no table per word is built and the
+    cost is what composing those relations through the moves that enter
+    their rows costs.  The empty word's n pairs are counted, not built."""
     pairs = (sum(map(int.bit_count, rows.values()))
              for relations in bundle.prepared.relations for rows in relations.rows)
     return max(bundle.max_states, max(pairs, default=0))
@@ -758,7 +807,7 @@ def catchup_volleys(blocks: list, relations: tuple, l: int, copy: int) -> list:
     words = [((s,), r) for s, r in first.letters.items()]  # (w, w's relation)
     for t in range(1, k + 1):
         volleys += [(0, first.lists[r], w[0], word_copy(blocks, l, 1 if t == k else 1 + t, w)) for w, r in words]
-        words = [((s,) + w, nxt) for s in first.letters for w, r in words if (nxt := first.step[s, r])] if t < k else []
+        words = [((s,) + w, nxt) for s in first.letters for w, r in words if (nxt := first.step.get((s, r), 0))] if t < k else []
     return sorted(volleys, key=lambda volley: volley[2:])
 
 

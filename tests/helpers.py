@@ -9,16 +9,27 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
+from typing import Dict
 
 from hypothesis import strategies as st
 
 import nfai
 from nfai.automata import InstanceBundle, Nfa, accepts
+from nfai.boolmatrix import set_bits
 from nfai.certificates import CERT_MAGIC, ShortPathset, StaggeredCut
 from nfai.decision import Decision
 from nfai.fileformat import FormatError
 from nfai.hardness import UndirectedGraph, _seed_key, random_bundle
-from nfai.products import BudgetExceeded, ProductBuilder, builder_for, nodding_copy, reachable, state_budget
+from nfai.products import (
+    BudgetExceeded,
+    ProductBuilder,
+    WordRelations,
+    _Table,
+    builder_for,
+    nodding_copy,
+    reachable,
+    state_budget,
+)
 from nfai.relations import MultiTapeAutomaton, multitape_accepts
 
 
@@ -370,6 +381,50 @@ def direct_successors_reference(builder, sid: int) -> list:
                 out.append((letter, space.encode(targets)))
     out.sort()
     return out
+
+
+def word_relations_reference(letters: dict, max_len: int) -> WordRelations:
+    """``products._word_relations`` as it was before it composed relations
+    through the moves that enter their rows: every fresh relation, the
+    empty one included, pulled through every letter that moves, each
+    composition kept in ``step`` even when it is empty.  The reference the
+    closure's relation ids, rows, letters and non-zero steps are checked
+    against."""
+    rows_of: list = []
+    ids: Dict[tuple, int] = {}
+    fresh: list = []
+
+    def intern(rows: dict) -> int:
+        key = (tuple(rows), tuple(rows.values()))
+        r = ids.get(key)
+        if r is None:
+            r = ids[key] = len(rows_of)
+            rows_of.append(rows)
+            fresh.append(r)
+        return r
+
+    bit = (1).__lshift__  # bit(d) == 1 << d; distinct bits sum to their OR
+    intern({})  # the empty relation is 0
+    first = {}
+    lists = _Table(lambda r: {q: set_bits(row) for q, row in rows_of[r].items()})
+    for s, moves in letters.items():
+        first[s] = intern({q: sum(map(bit, dsts)) for q, dsts in moves.items()})
+        lists[first[s]] = moves
+    step = {}
+    for _ in range(max_len - 1):
+        layer, fresh = fresh, []
+        for r in layer:
+            rows = rows_of[r]
+            for s, moves in letters.items():
+                out = {}
+                for q, dsts in moves.items():
+                    row = 0
+                    for d in dsts:
+                        row |= rows.get(d, 0)
+                    if row:
+                        out[q] = row
+                step[s, r] = intern(out)
+    return WordRelations(tuple(rows_of), first, step, lists)
 
 
 def random_nfa_reference(n_states: int, n_letters: int, density: float, seed) -> Nfa:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nfai import products
 from nfai.automata import EPSILON, InstanceBundle, Nfa, accepts, adjacency_matrix, epsilon_accepts
 from nfai.boolmatrix import BoolMatrix
 from nfai.hardness import random_bundle, random_nfa
@@ -30,6 +31,7 @@ from nfai.products import (
 from helpers import (
     acceptance_corpus, all_words, bundles, catchup_block, catchup_reference, catchup_tags,
     direct_successors_reference, leapfrog_block, leapfrog_reference, leapfrog_tags, reach_map,
+    word_relations_reference,
 )
 
 
@@ -215,6 +217,70 @@ def test_word_relations_match_reach_map(bundle):
         assert len({id(lists[relations.of(u)]) for u in reference}) == len(shared)
         assert len({id(lists[r]) for r in range(len(relations.rows))}) == len(relations.rows)
     assert m_leq_k(bundle) == best
+
+
+#: ``products.PUSH_ROWS`` values that push every relation through the moves
+#: entering its rows, pull every one letter by letter, and choose by the rule
+ALL_PUSH, ALL_PULL, BY_RULE = 0, 1 << 62, products.PUSH_ROWS
+
+
+def _check_word_relations(bundle):
+    """Pushed, pulled or chosen by the rule, every component's closure
+    interns the reference's relations under the same ids, and keeps the same
+    letters, successor dicts and non-zero steps."""
+    k = bundle.k
+    for letters in bundle.prepared.letters:
+        want = word_relations_reference(letters, k)
+        for push in (ALL_PUSH, ALL_PULL, BY_RULE):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(products, "PUSH_ROWS", push)
+                got = products._word_relations(letters, k)
+            assert [list(rows.items()) for rows in got.rows] == [list(rows.items()) for rows in want.rows]
+            assert got.letters == want.letters
+            assert got.step == {key: r for key, r in want.step.items() if r}
+            assert all(got.lists[r] == want.lists[r] for r in range(len(want.rows)))
+
+
+def test_word_relations_match_the_reference_on_the_corpus():
+    for _, bundle in acceptance_corpus():
+        _check_word_relations(bundle)
+
+
+@given(bundles())
+def test_word_relations_match_the_reference(bundle):
+    _check_word_relations(bundle)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_word_relations_match_the_reference_over_30_letters(seed):
+    _check_word_relations(random_bundle(3, 3, 30, 0.1, ("relations", seed)))
+
+
+@given(bundles())
+def test_word_relations_keep_no_empty_step(bundle):
+    """``step`` holds no empty relation, and a word whose relation is empty
+    walks it to relation 0."""
+    for a, relations in zip(bundle.automata, bundle.prepared.relations):
+        assert 0 not in relations.step.values()
+        for u, rows in reach_map(a, bundle.k).items():
+            assert (relations.of(u) == 0) == (not rows)
+
+
+def test_catchup_reads_empty_compositions_as_relation_0(monkeypatch):
+    """Catch-up volleys over the relations with their empty steps dropped
+    give the accessible part the reference relations, which keep them,
+    give."""
+    checked = 0
+    for _, bundle in acceptance_corpus()[::3]:
+        reference = [word_relations_reference(letters, bundle.k) for letters in bundle.prepared.letters]
+        if not any(r and not nxt for relations in reference for (_, r), nxt in relations.step.items()):
+            continue
+        checked += 1
+        part = accessible_part("catchup", InstanceBundle(bundle.automata))
+        with monkeypatch.context() as patch:
+            patch.setattr(products, "_word_relations", word_relations_reference)
+            assert accessible_part("catchup", InstanceBundle(bundle.automata)) == part
+    assert checked > 20
 
 
 def test_m_leq_k_holds_one_table_at_a_time(monkeypatch):
