@@ -266,23 +266,6 @@ def test_word_relations_keep_no_empty_step(bundle):
             assert (relations.of(u) == 0) == (not rows)
 
 
-def test_catchup_reads_empty_compositions_as_relation_0(monkeypatch):
-    """Catch-up volleys over the relations with their empty steps dropped
-    give the accessible part the reference relations, which keep them,
-    give."""
-    checked = 0
-    for _, bundle in acceptance_corpus()[::3]:
-        reference = [word_relations_reference(letters, bundle.k) for letters in bundle.prepared.letters]
-        if not any(r and not nxt for relations in reference for (_, r), nxt in relations.step.items()):
-            continue
-        checked += 1
-        part = accessible_part("catchup", InstanceBundle(bundle.automata))
-        with monkeypatch.context() as patch:
-            patch.setattr(products, "_word_relations", word_relations_reference)
-            assert accessible_part("catchup", InstanceBundle(bundle.automata)) == part
-    assert checked > 20
-
-
 def test_m_leq_k_holds_one_table_at_a_time(monkeypatch):
     # m_leq_k builds each component's distinct relations once, from the
     # prepared letter lists, and no table per word nor successor lists past
