@@ -4,6 +4,12 @@ States and letters are dense 0-based indices. Human-readable letter names
 exist only in the text file format (see :mod:`nfai.fileformat`); the in-memory
 representation is purely numeric so that product-state arithmetic stays cheap.
 
+:class:`Nfa` and :class:`EpsilonNfa` are one record that differs only in
+whether epsilon may label a transition.  Each automaton groups its moves
+once, on first use, into the by-letter table ``letters``; the product
+constructions, the decision and the certificate verifiers all read that
+table, not a regrouping of their own.
+
 All types are immutable after construction and safe to share across threads.
 """
 
@@ -25,56 +31,19 @@ Transition = tuple[int, int, int]  # (src, label, dst)
 Run = tuple[Transition, ...]
 
 
-def _canonical_transitions(transitions) -> tuple:
-    return tuple(sorted({(int(s), int(a), int(t)) for (s, a, t) in transitions}))
-
-
-def _check_indices(auto, allow_epsilon: bool) -> None:
-    n, l = auto.n_states, auto.n_letters
-    if n <= 0:
-        raise ValueError("automaton needs at least one state")
-    if l < 0:
-        raise ValueError("alphabet size must be non-negative")
-    if not (0 <= auto.initial < n):
-        raise ValueError(f"initial state {auto.initial} out of range [0, {n})")
-    for q in auto.finals:
-        if not (0 <= q < n):
-            raise ValueError(f"final state {q} out of range [0, {n})")
-    for (src, label, dst) in auto.transitions:
-        if not (0 <= src < n and 0 <= dst < n):
-            raise ValueError(f"transition ({src}, {label}, {dst}) has a state out of range")
-        if label == EPSILON:
-            if not allow_epsilon:
-                raise ValueError("epsilon label is not allowed in a plain NFA")
-        elif not (0 <= label < l):
-            raise ValueError(f"transition ({src}, {label}, {dst}) has a letter out of range")
-
-
-class _AdjacencyMixin:
-    @cached_property
-    def adjacency(self):
-        """Mapping (state, label) -> sorted tuple of successor states."""
-        grouped: dict = {}
-        for (src, label, dst) in self.transitions:
-            grouped.setdefault((src, label), []).append(dst)
-        return {key: tuple(sorted(dsts)) for key, dsts in grouped.items()}
-
-    @property
-    def m(self) -> int:
-        """Number of transitions."""
-        return len(self.transitions)
-
-    def successors(self, state: int, label: int) -> tuple:
-        return self.adjacency.get((state, label), ())
+#: The moves on a label that moves no state, shared; never to be mutated.
+_NO_MOVES: dict = {}
 
 
 @dataclass(frozen=True)
-class Nfa(_AdjacencyMixin):
-    """Nondeterministic finite automaton.
+class _Automaton:
+    """The record both automaton classes share: the five fields, their
+    checks and the by-letter move table.
 
     ``transitions`` is kept as a sorted, duplicate-free tuple of
-    ``(src, letter, dst)`` triples, so structural equality of two automata is
-    plain dataclass equality.
+    ``(src, label, dst)`` triples, so structural equality of two automata of
+    one class is plain dataclass equality; automata of different classes
+    never compare equal.
     """
 
     n_states: int
@@ -83,26 +52,62 @@ class Nfa(_AdjacencyMixin):
     initial: int
     finals: frozenset
 
+    #: Whether :data:`EPSILON` may label a transition; a class constant.
+    epsilon = False
+
     def __post_init__(self):
-        object.__setattr__(self, "transitions", _canonical_transitions(self.transitions))
+        transitions = tuple(sorted({(int(s), int(a), int(t)) for (s, a, t) in self.transitions}))
+        object.__setattr__(self, "transitions", transitions)
         object.__setattr__(self, "finals", frozenset(int(q) for q in self.finals))
-        _check_indices(self, allow_epsilon=False)
+        n, l = self.n_states, self.n_letters
+        if n <= 0:
+            raise ValueError("automaton needs at least one state")
+        if l < 0:
+            raise ValueError("alphabet size must be non-negative")
+        if not (0 <= self.initial < n):
+            raise ValueError(f"initial state {self.initial} out of range [0, {n})")
+        for q in self.finals:
+            if not (0 <= q < n):
+                raise ValueError(f"final state {q} out of range [0, {n})")
+        for (src, label, dst) in transitions:
+            if not (0 <= src < n and 0 <= dst < n):
+                raise ValueError(f"transition ({src}, {label}, {dst}) has a state out of range")
+            if label == EPSILON:
+                if not self.epsilon:
+                    raise ValueError("epsilon label is not allowed in a plain NFA")
+            elif not (0 <= label < l):
+                raise ValueError(f"transition ({src}, {label}, {dst}) has a letter out of range")
+
+    @cached_property
+    def letters(self) -> dict:
+        """The move table ``{label: {state: successor tuple}}``, built in one
+        pass over the canonical transitions: labels ascending, so
+        :data:`EPSILON` first, and states and successors ascending within
+        each label.  A label with no move has no key.  Shared by every
+        reader of the automaton; never to be mutated."""
+        table: dict = {}
+        for (q, s, d) in self.transitions:
+            table.setdefault(s, {}).setdefault(q, []).append(d)
+        return {s: {q: tuple(dsts) for q, dsts in moves.items()} for s, moves in sorted(table.items())}
+
+    @property
+    def m(self) -> int:
+        """Number of transitions."""
+        return len(self.transitions)
+
+    def successors(self, state: int, label: int) -> tuple:
+        return self.letters.get(label, _NO_MOVES).get(state, ())
 
 
-@dataclass(frozen=True)
-class EpsilonNfa(_AdjacencyMixin):
+class Nfa(_Automaton):
+    """Nondeterministic finite automaton; no transition is labelled
+    :data:`EPSILON`."""
+
+
+class EpsilonNfa(_Automaton):
     """NFA extended with epsilon transitions (label :data:`EPSILON`)."""
 
-    n_states: int
-    n_letters: int
-    transitions: tuple
-    initial: int
-    finals: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "transitions", _canonical_transitions(self.transitions))
-        object.__setattr__(self, "finals", frozenset(int(q) for q in self.finals))
-        _check_indices(self, allow_epsilon=True)
+    epsilon = True
 
     @cached_property
     def epsilon_closures(self):
@@ -127,14 +132,8 @@ Automaton = Union[Nfa, EpsilonNfa]
 def is_deterministic(a: Automaton) -> bool:
     """True iff ``a`` has no epsilon transitions and at most one outgoing
     transition per (state, letter)."""
-    seen = set()
-    for (src, label, dst) in a.transitions:
-        if label == EPSILON:
-            return False
-        if (src, label) in seen:
-            return False
-        seen.add((src, label))
-    return True
+    return EPSILON not in a.letters and all(
+        len(dsts) == 1 for moves in a.letters.values() for dsts in moves.values())
 
 
 def _check_word(a: Automaton, word: Sequence) -> Word:
@@ -199,16 +198,14 @@ def validate_run(a: Automaton, run: Iterable) -> Union[Word, RunViolation]:
     naming the first failing step is returned instead of raising.
     """
     steps = tuple(tuple(step) for step in run)
-    transitions = set(a.transitions)
     word = []
-    for i, step in enumerate(steps):
-        src, label, dst = step
+    for i, (src, label, dst) in enumerate(steps):
         if i == 0:
             if src != a.initial:
                 return RunViolation("wrong-start", 0)
         elif steps[i - 1][2] != src:
             return RunViolation("discontinuity", i)
-        if step not in transitions:
+        if dst not in a.successors(src, label):
             return RunViolation("not-a-transition", i)
         if label != EPSILON:
             word.append(label)
@@ -219,11 +216,8 @@ def adjacency_matrix(a: Automaton, letter: int) -> BoolMatrix:
     """n x n matrix with entry (i, j) = 1 iff (i, letter, j) is a transition."""
     if not (0 <= letter < a.n_letters):
         raise ValueError(f"letter {letter} out of range [0, {a.n_letters})")
-    return BoolMatrix.from_pairs(
-        a.n_states,
-        a.n_states,
-        ((src, dst) for (src, label, dst) in a.transitions if label == letter),
-    )
+    moves = a.letters.get(letter, _NO_MOVES)
+    return BoolMatrix.from_pairs(a.n_states, a.n_states, ((q, d) for q, dsts in moves.items() for d in dsts))
 
 
 def run_is_accepting(a: Automaton, run: Sequence) -> bool:

@@ -28,6 +28,8 @@ class UndirectedGraph:
     edges: frozenset
 
     def __post_init__(self):
+        if self.n_vertices < 0:
+            raise ValueError(f"negative vertex count {self.n_vertices}")
         canon = set()
         for (u, v) in self.edges:
             u, v = int(u), int(v)

@@ -167,6 +167,11 @@ class StutterAcceptor:
         return phase == 0 and self._inner.accepting(inner)
 
 
+def _check_horizon(max_len: int) -> None:
+    if max_len < 0:
+        raise ValueError("max_len must be non-negative")
+
+
 def difference_witness(acc_a, acc_b, n_letters: int, max_len: int) -> Optional[Word]:
     """Shortest word of length <= max_len accepted by exactly one of two
     deterministic acceptors, or None if they agree on the whole horizon.
@@ -176,6 +181,7 @@ def difference_witness(acc_a, acc_b, n_letters: int, max_len: int) -> Optional[W
     horizon while visiting each pair once (the first visit has the most
     residual depth, which subsumes later visits).
     """
+    _check_horizon(max_len)
     start = (acc_a.initial, acc_b.initial)
     if acc_a.accepting(start[0]) != acc_b.accepting(start[1]):
         return ()
@@ -203,6 +209,7 @@ def difference_witness(acc_a, acc_b, n_letters: int, max_len: int) -> Optional[W
 
 def bounded_language(a: Automaton, max_len: int) -> Set[Word]:
     """All words of length <= max_len the automaton accepts (enumeration)."""
+    _check_horizon(max_len)
     det = DetAcceptor(a)
     out: Set[Word] = set()
 
@@ -227,6 +234,7 @@ def intersection_search(bundle: InstanceBundle, max_len: int) -> Tuple[Optional[
     without hitting the depth cap, i.e. a None answer is definitive for all
     word lengths.
     """
+    _check_horizon(max_len)
     acceptor = BundleAcceptor(bundle)
     start = acceptor.initial
     if acceptor.accepting(start):

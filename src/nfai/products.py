@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
-from .automata import EPSILON, EpsilonNfa, InstanceBundle, Nfa
+from .automata import _NO_MOVES, EPSILON, EpsilonNfa, InstanceBundle, Nfa
 from .boolmatrix import set_bits
 
 CONSTRUCTIONS = ("direct", "nodding", "echoing", "catchup", "leapfrog")
@@ -257,20 +257,6 @@ def _repeat(block: int, period: int, count: int) -> int:
             return out
         block |= block << period
         period *= 2
-
-
-def _by_letter(a: Nfa, stride: int = 1) -> dict:
-    """Per letter s that moves, ascending, ``{q: successors of q on s, times
-    stride}`` for the states q that move, each list ascending: the adjacency's
-    own tuples when the stride is 1.  A letter with no move has no key."""
-    lists: Dict[int, dict] = {}
-    for (q, s), dsts in a.adjacency.items():
-        lists.setdefault(s, {})[q] = dsts if stride == 1 else tuple([d * stride for d in dsts])
-    return dict(sorted(lists.items()))
-
-
-#: The moves on a letter that moves no state, shared; never to be mutated.
-_NO_MOVES: dict = {}
 
 
 @dataclass(frozen=True)
@@ -485,10 +471,10 @@ class PreparedBundle:
 
     @cached_property
     def letters(self) -> tuple:
-        """letters[i]: :func:`_by_letter` of component i, ``{s: {q: successors
-        of q on s}}`` for the letters s that move, ascending; a letter with no
-        move has no key."""
-        return tuple(map(_by_letter, self.automata))
+        """letters[i]: component i's own move table, ``Nfa.letters``, ``{s:
+        {q: successors of q on s}}`` for the letters s that move, ascending;
+        a letter with no move has no key."""
+        return tuple(a.letters for a in self.automata)
 
     @cached_property
     def relations(self) -> tuple:
@@ -685,7 +671,8 @@ class _DirectBuilder(ProductBuilder):
     that component 0's state moves on.  ``targets[i][s]`` maps each state q
     of component i that moves on letter s to its successors times component
     i's stride, ascending; the letters that move in component i are its
-    only keys.  A successor id is then one sum per component, and summing
+    only keys.  Component 0's stride is 1, so its targets are its own move
+    table.  A successor id is then one sum per component, and summing
     with the more significant component's targets in the outer loop yields
     each letter's ids ascending, without a sort: one successor group per
     letter that moves every component, in letter order."""
@@ -694,7 +681,10 @@ class _DirectBuilder(ProductBuilder):
 
     def __init__(self, bundle: InstanceBundle):
         super().__init__(bundle)
-        self.targets = tuple(_by_letter(a, stride) for a, stride in zip(bundle.automata, self.space.strides))
+        letters = self.prepared.letters
+        self.targets = letters[:1] + tuple(
+            {s: {q: tuple([d * stride for d in dsts]) for q, dsts in moves.items()} for s, moves in table.items()}
+            for table, stride in zip(letters[1:], self.space.strides[1:]))
         self.firsts: Dict[int, list] = {}  # per state of component 0, the (letter, targets) it moves on, ascending
         for letter, lists in self.targets[0].items():
             for q, ids in lists.items():

@@ -14,7 +14,7 @@ from typing import Dict
 from hypothesis import strategies as st
 
 import nfai
-from nfai.automata import InstanceBundle, Nfa, accepts
+from nfai.automata import EPSILON, InstanceBundle, Nfa, RunViolation, accepts
 from nfai.boolmatrix import set_bits
 from nfai.certificates import CERT_MAGIC, ShortPathset, StaggeredCut
 from nfai.decision import Decision
@@ -71,6 +71,50 @@ def complete_empty_bundle() -> InstanceBundle:
     return InstanceBundle((Nfa(n, l, complete, 0, frozenset()), Nfa(n, l, complete, 0, frozenset({0}))))
 
 
+def moves_reference(a) -> dict:
+    """``{label: {state: successor tuple}}`` grouped here from the
+    transitions, each level sorted on its own: the reference an automaton's
+    ``letters`` table is checked against, and the only grouping the other
+    references read."""
+    grouped: dict = {}
+    for (q, s, d) in a.transitions:
+        grouped.setdefault(s, {}).setdefault(q, set()).add(d)
+    return {s: {q: tuple(sorted(grouped[s][q])) for q in sorted(grouped[s])} for s in sorted(grouped)}
+
+
+def is_deterministic_reference(a) -> bool:
+    """``automata.is_deterministic`` as it was before it read the move
+    table: one set of (state, letter) pairs built from the transitions."""
+    seen = set()
+    for (src, label, dst) in a.transitions:
+        if label == EPSILON:
+            return False
+        if (src, label) in seen:
+            return False
+        seen.add((src, label))
+    return True
+
+
+def validate_run_reference(a, run):
+    """``automata.validate_run`` as it was before it read the move table:
+    each step looked up in a set of all the transitions."""
+    steps = tuple(tuple(step) for step in run)
+    transitions = set(a.transitions)
+    word = []
+    for i, step in enumerate(steps):
+        src, label, dst = step
+        if i == 0:
+            if src != a.initial:
+                return RunViolation("wrong-start", 0)
+        elif steps[i - 1][2] != src:
+            return RunViolation("discontinuity", i)
+        if step not in transitions:
+            return RunViolation("not-a-transition", i)
+        if label != EPSILON:
+            word.append(label)
+    return tuple(word)
+
+
 def reach_map(a: Nfa, max_len: int) -> dict:
     """Word reachability as sparse rows of bitmasks, one table per word u
     with 1 <= |u| <= max_len: ``table[u]`` maps each state q that u leads
@@ -78,9 +122,8 @@ def reach_map(a: Nfa, max_len: int) -> dict:
     of ``(s,) + u`` ORs u's rows at the successors of q on s.  No identity
     rows for the empty word.  The reference the library's distinct word
     relations are checked against."""
-    letters = [{} for _ in range(a.n_letters)]
-    for (q, s), dsts in a.adjacency.items():
-        letters[s][q] = dsts
+    grouped = moves_reference(a)
+    letters = [grouped.get(s, {}) for s in range(a.n_letters)]
     table = {(s,): {q: sum(1 << d for d in dsts) for q, dsts in moves.items()}
              for s, moves in enumerate(letters)} if max_len else {}
     layer = list(table)
@@ -372,10 +415,10 @@ def direct_successors_reference(builder, sid: int) -> list:
     takes the builder first, so it also stands in for the method."""
     space = builder.space
     comps = [space.component(sid, i) for i in range(builder.k)]
-    letters = builder.prepared.letters
+    letters = [moves_reference(a) for a in builder.prepared.automata]
     out = []
-    for q, letter in builder.prepared.automata[0].adjacency:
-        if q == comps[0]:
+    for letter, moves in letters[0].items():
+        if comps[0] in moves:
             lists = [letters[i].get(letter, {}).get(comps[i], ()) for i in range(builder.k)]
             for targets in itertools.product(*lists):
                 out.append((letter, space.encode(targets)))

@@ -1,4 +1,8 @@
+import dataclasses
+import random
+
 import pytest
+from hypothesis import given, settings
 
 from nfai.automata import (
     EPSILON,
@@ -13,9 +17,19 @@ from nfai.automata import (
     validate_run,
 )
 from nfai.hardness import clique_to_dfas, random_nfa
-from nfai.products import materialize
+from nfai.products import accessible_part, materialize
 
-from helpers import EXAMPLE_CLIQUE_WORD, aa_bb_cc_star, all_words, example_clique_graph
+from helpers import (
+    EXAMPLE_CLIQUE_WORD,
+    aa_bb_cc_star,
+    acceptance_corpus,
+    all_words,
+    bundles,
+    example_clique_graph,
+    is_deterministic_reference,
+    moves_reference,
+    validate_run_reference,
+)
 
 
 def test_accepts_aa_bb_cc_star():
@@ -171,3 +185,89 @@ def test_bundle_requires_common_alphabet():
         InstanceBundle((a, b))
     with pytest.raises(ValueError):
         InstanceBundle((a,))
+
+
+# --- the move table and the shared record ----------------------------------------
+
+def _table_cases() -> list:
+    """The acceptance corpus's automata, then the nodding accessible parts
+    (epsilon-NFAs) of every tenth of its bundles."""
+    corpus = [bundle for _, bundle in acceptance_corpus()]
+    automata = [a for bundle in corpus for a in bundle.automata]
+    return automata + [accessible_part("nodding", bundle)[0] for bundle in corpus[::10]]
+
+
+def _check_table(a) -> None:
+    """``a.letters`` and ``a.successors`` against a grouping of the
+    transitions done here, key order included, for every state and every
+    label: EPSILON and the labels without moves too."""
+    want = moves_reference(a)
+    assert a.letters == want
+    assert list(a.letters) == list(want)
+    assert all(list(a.letters[s]) == list(moves) for s, moves in want.items())
+    for q in range(a.n_states):
+        for s in range(EPSILON, a.n_letters):
+            assert a.successors(q, s) == want.get(s, {}).get(q, ())
+
+
+def _mutated_runs(a, rng: random.Random) -> list:
+    """A random run of ``a`` of up to four steps, its prefixes, and every
+    run that changes one field of one of its steps to another state or
+    label: each RunViolation kind among them wherever ``a`` allows it."""
+    run, q = [], a.initial
+    for _ in range(4):
+        moves = [t for t in a.transitions if t[0] == q]
+        if not moves:
+            break
+        run.append(rng.choice(moves))
+        q = run[-1][2]
+    runs = [run[:i] for i in range(len(run) + 1)]
+    for i, step in enumerate(run):
+        for field, values in ((0, range(a.n_states)), (1, range(EPSILON, a.n_letters)), (2, range(a.n_states))):
+            for value in values:
+                if value != step[field]:
+                    runs.append(run[:i] + [step[:field] + (value,) + step[field + 1:]] + run[i + 1:])
+    return runs
+
+
+def test_move_table_groups_the_transitions():
+    for a in _table_cases():
+        _check_table(a)
+
+
+def test_is_deterministic_and_validate_run_match_their_references():
+    rng = random.Random(7)
+    outcomes = set()
+    for a in _table_cases():
+        assert is_deterministic(a) == is_deterministic_reference(a)
+        for run in _mutated_runs(a, rng):
+            got = validate_run(a, run)
+            assert got == validate_run_reference(a, run), (a, run)
+            outcomes.add(got.kind if isinstance(got, RunViolation) else "word")
+    assert outcomes == {"word", "wrong-start", "discontinuity", "not-a-transition"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(bundles())
+def test_move_tables_on_random_bundles(bundle):
+    for i, a in enumerate(bundle.automata):
+        _check_table(a)
+        assert is_deterministic(a) == is_deterministic_reference(a)
+        for run in _mutated_runs(a, random.Random(i)):
+            assert validate_run(a, run) == validate_run_reference(a, run)
+        assert bundle.prepared.letters[i] is a.letters
+
+
+def test_the_two_automaton_classes_share_one_record_and_stay_apart():
+    fields = (2, 1, ((0, 0, 1),), 0, frozenset({1}))
+    plain, epsilon = Nfa(*fields), EpsilonNfa(*fields)
+    assert not isinstance(epsilon, Nfa) and not isinstance(plain, EpsilonNfa)
+    assert plain != epsilon and epsilon != plain
+    assert plain == Nfa(*fields) and epsilon == EpsilonNfa(*fields)
+    assert dataclasses.fields(plain) == dataclasses.fields(epsilon)
+    assert [f.name for f in dataclasses.fields(plain)] == ["n_states", "n_letters", "transitions", "initial", "finals"]
+    assert repr(epsilon).startswith("EpsilonNfa(") and repr(plain).startswith("Nfa(")
+    with pytest.raises(ValueError, match="epsilon label is not allowed in a plain NFA"):
+        Nfa(2, 1, ((0, EPSILON, 1),), 0, frozenset())
+    with pytest.raises(ValueError, match="plain NFA"):
+        InstanceBundle((epsilon, plain))

@@ -165,6 +165,11 @@ def test_gen_bad_random_spec(tmp_path):
     assert main(["gen", "clique", "--graph", "random:6,0.5", "--k", "3"]) == 2
 
 
+def test_gen_refuses_a_random_graph_with_a_negative_vertex_count(capsys):
+    assert main(["gen", "clique", "--graph", "random:-5,0.5,1", "--k", "4"]) == 2
+    assert capsys.readouterr().err == "error: negative vertex count -5\n"
+
+
 def test_gen_refuses_graphs_over_the_state_budget(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("NFAI_STATE_BUDGET", "1000")
     graph_file = tmp_path / "huge.graph"
@@ -198,6 +203,18 @@ def test_oracle_subcommand(clique_file, empty_file, capsys):
     assert capsys.readouterr().out.strip() == "WITNESS 0 1 3 4"
     assert main(["oracle", str(empty_file), "--max-len", "6"]) == 1
     assert capsys.readouterr().out.strip() == "NONE"
+
+
+def test_oracle_refuses_a_negative_horizon(tmp_path, capsys):
+    # two 2-state one-letter NFAs whose shortest common word is 0
+    a = Nfa(2, 1, ((0, 0, 1),), 0, frozenset({1}))
+    path = tmp_path / "b.nfa"
+    path.write_text(serialize_bundle(InstanceBundle((a, a))))
+    assert main(["oracle", str(path), "--max-len", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: max_len must be non-negative\n"
+    assert main(["oracle", str(path), "--max-len", "1"]) == 0
+    assert capsys.readouterr().out == "WITNESS 0\n"
 
 
 def test_rs_subcommand(tmp_path, capsys):

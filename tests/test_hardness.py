@@ -39,6 +39,14 @@ def test_graph_rejects_self_loops_and_range():
         UndirectedGraph(2, frozenset({(0, 2)}))
 
 
+def test_graph_rejects_a_negative_vertex_count():
+    assert UndirectedGraph(0, frozenset()).n_vertices == 0
+    with pytest.raises(ValueError, match="^negative vertex count -5$"):
+        UndirectedGraph(-5, frozenset())
+    with pytest.raises(ValueError, match="^negative vertex count -5$"):
+        random_graph(-5, 0.5, 1)
+
+
 def test_brute_force_clique_basics():
     assert brute_force_has_clique(complete_graph(5), 5)
     assert not brute_force_has_clique(UndirectedGraph(4, frozenset()), 2)

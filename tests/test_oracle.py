@@ -113,6 +113,32 @@ def test_intersection_search_closure_flag():
     assert witness is None and not closed
 
 
+def test_the_searches_refuse_a_negative_horizon():
+    # two one-letter NFAs whose shortest common word is 0
+    a = Nfa(2, 1, ((0, 0, 1),), 0, frozenset({1}))
+    bundle = InstanceBundle((a, a))
+    assert intersection_search(bundle, 1) == ((0,), True)
+    with pytest.raises(ValueError, match="max_len must be non-negative"):
+        intersection_search(bundle, -1)
+    with pytest.raises(ValueError, match="max_len must be non-negative"):
+        bounded_intersection_witness(bundle, -1)
+
+
+def test_difference_witness_refuses_a_negative_horizon():
+    a = Nfa(2, 1, ((0, 0, 1),), 0, frozenset({1}))
+    empty = Nfa(1, 1, (), 0, frozenset())
+    assert difference_witness(DetAcceptor(a), DetAcceptor(empty), 1, 1) == (0,)
+    with pytest.raises(ValueError, match="max_len must be non-negative"):
+        difference_witness(DetAcceptor(a), DetAcceptor(empty), 1, -1)
+
+
+def test_bounded_language_refuses_a_negative_horizon():
+    a = Nfa(2, 1, ((0, 0, 1),), 0, frozenset({1}))
+    assert bounded_language(a, 0) == set() and bounded_language(a, 1) == {(0,)}
+    with pytest.raises(ValueError, match="max_len must be non-negative"):
+        bounded_language(a, -1)
+
+
 # --- interleaving identity ----------------------------------------------------
 
 def test_interleaving_identity_symmetric_bundle():
